@@ -11,6 +11,8 @@ canonical config hash.
 from __future__ import annotations
 
 import argparse
+import ast
+import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,22 +74,54 @@ def _check_range(key: str, value: float):
     return value
 
 
-def _expression(expr: str, default: float | None = None):
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
+              "abs": np.abs}
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: operator.truediv,
+              ast.Pow: operator.pow}
+
+
+def _expression(expr: str):
     """Coefficient profile from a config value: a constant or an expression
-    in x (numpy syntax, e.g. ``1 + x/2`` or ``1 + 0.3*sin(x)``)."""
+    in x (e.g. ``1 + x/2`` or ``1 + 0.3*sin(x)``).
+
+    The expression is walked as a syntax tree, never executed: numbers, ``x``,
+    ``pi``, ``+ - * / **``, unary minus and calls to sin, cos, exp, sqrt and
+    abs are allowed; anything else raises ``PreconditionError``.
+    """
     expr = expr.strip()
-    names = {"x": None, "sin": np.sin, "cos": np.cos, "exp": np.exp,
-             "sqrt": np.sqrt, "pi": np.pi, "abs": np.abs}
+    try:
+        tree = ast.parse(expr, mode="eval").body
+    except SyntaxError as exc:
+        raise PreconditionError(f"cannot parse expression {expr!r}: {exc.msg}")
+    except (ValueError, RecursionError, MemoryError) as exc:
+        # NUL bytes and deep nesting fail in the parser itself on some
+        # Python versions
+        raise PreconditionError(f"cannot parse expression {expr!r}: {exc}")
+
+    def walk(node, x):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return float(node.value)
+        if isinstance(node, ast.Name) and node.id in ("x", "pi"):
+            return x if node.id == "x" else np.pi
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            return _OPERATORS[type(node.op)](walk(node.left, x), walk(node.right, x))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -walk(node.operand, x)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCTIONS and len(node.args) == 1
+                and not node.keywords):
+            return _FUNCTIONS[node.func.id](walk(node.args[0], x))
+        raise PreconditionError(
+            f"expression {expr!r}: {ast.unparse(node)!r} is not allowed")
 
     def fn(x):
-        local = dict(names)
-        local["x"] = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
         try:
-            out = eval(expr, {"__builtins__": {}}, local)  # noqa: S307
-        except Exception as exc:
+            out = walk(tree, x)
+        except (ArithmeticError, RecursionError) as exc:
             raise PreconditionError(f"cannot evaluate expression {expr!r}: {exc}")
-        return np.broadcast_to(np.asarray(out, dtype=float),
-                               np.asarray(x, dtype=float).shape).copy()
+        return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
 
     # validate now so config errors surface at parse time
     fn(np.linspace(0.0, 1.0, 5))
@@ -124,7 +158,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ProblemBundle:
     elliptic = sp.EllipticCoefficients(a=a_fn, q=q_fn, c_a=c_a, length=length)
     M = int(_check_range("grid_points", int(op.get("m", "201"))))
     if kind == "dirichlet":
-        basis = sp.build_exact_dirichlet(length, n_modes)
+        basis = sp.build_exact_dirichlet(length, n_modes,
+                                         grid_points=max(1025, n_modes + 2))
     elif kind == "fd":
         basis = sp.build_fd(elliptic, M, n_modes)
     else:

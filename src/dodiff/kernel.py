@@ -12,6 +12,16 @@ rays at angles +-theta in (pi/2, pi) joined by an arc of radius eps; the
 kernels are independent of any admissible (eps, theta), which the tests
 exploit as an internal consistency check.
 
+The same contour, with s^-k in place of w(s), gives the time integrals of G,
+
+    K_k(t) = (1/2 pi i) int_gamma s^(-k)/(s w(s) + lambda_n) e^(st) ds,
+
+whose panel differences the solver uses for product integration of the
+source term (K_1(t) = int_0^t G_n, K_2(t) = int_0^t K_1).  Every pair comes
+out of one quadrature assembly; only the factor at each node differs.  E is
+kept on its own factor rather than written as 1 - lambda_n K_1, which would
+cancel catastrophically once lambda_n t^alpha is large.
+
 Independently, squeezing the contour onto the branch cut yields the
 real-axis representation
 
@@ -151,48 +161,6 @@ def choose_contour(t: float, lambda1: float, w: WeightFunction,
                        arc_count=cfg.arc_count)
 
 
-def _contour_rows(t: float, lambdas: np.ndarray, w: WeightFunction,
-                  spec: ContourSpec, moment_order: int = 64):
-    """Batched contour quadrature of (E_n, G_n) over all eigenvalues.
-
-    Returns two arrays shaped like ``lambdas``.  The result is assembled as
-    (A - conj A)/(2 pi i) from the upper-half pieces, so it is real by
-    construction; the imaginary residue is asserted anyway as a guard on the
-    assembly algebra.
-    """
-    lambdas = np.asarray(lambdas, dtype=float)
-    r, wr = spec.ray_quadrature()
-    logs_ray = np.log(r) + 1j * spec.theta
-    s_ray = np.exp(logs_ray)
-    sw_ray = w.power_moments(logs_ray, order=moment_order)
-    # ds = e^(i theta) dr on the ray; quadrature weight absorbs both
-    phase_ray = np.exp(s_ray * t) * wr * np.exp(1j * spec.theta)
-
-    beta, wb = spec.arc_quadrature()
-    s_arc = spec.epsilon * np.exp(1j * beta)
-    sw_arc = w.power_moments(np.log(spec.epsilon) + 1j * beta, order=moment_order)
-    # ds = i s dbeta on the arc
-    phase_arc = np.exp(s_arc * t) * wb * (1j * s_arc)
-
-    denom_ray = sw_ray[None, :] + lambdas[:, None]
-    denom_arc = sw_arc[None, :] + lambdas[:, None]
-
-    def close_up(a_upper):
-        val = (a_upper - np.conj(a_upper)) / (2j * np.pi)
-        resid = np.max(np.abs(val.imag))
-        if resid > 1e-10 * max(1.0, float(np.max(np.abs(val)))):
-            raise NumericError(f"imaginary residue {resid:.2e} after conjugate closure")
-        return val.real
-
-    a_G = (phase_ray[None, :] / denom_ray).sum(axis=1) \
-        + (phase_arc[None, :] / denom_arc).sum(axis=1)
-    w_ray = sw_ray / s_ray
-    w_arc = sw_arc / s_arc
-    a_E = ((phase_ray * w_ray)[None, :] / denom_ray).sum(axis=1) \
-        + ((phase_arc * w_arc)[None, :] / denom_arc).sum(axis=1)
-    return close_up(a_E), close_up(a_G)
-
-
 def eval_kernel_row(t: float, lambdas, w: WeightFunction,
                     spec: ContourSpec | None = None,
                     cfg: KernelConfig | None = None):
@@ -202,8 +170,8 @@ def eval_kernel_row(t: float, lambdas, w: WeightFunction,
         raise DomainError("eigenvalues must be positive")
     if spec is None:
         spec = choose_contour(t, float(lambdas.min()), w, cfg)
-    return _contour_rows(t, lambdas, w, spec,
-                         moment_order=cfg.moment_order if cfg else 64)
+    E, G = eval_kernel_block([t], lambdas, w, cfg=cfg, spec=spec)
+    return E[0], G[0]
 
 
 def shared_contour(times, lambda1: float, w: WeightFunction,
@@ -235,11 +203,27 @@ def eval_kernel_block(times, lambdas, w: WeightFunction,
                       cfg: KernelConfig | None = None,
                       spec: ContourSpec | None = None,
                       chunk: int = 64):
-    """(E, G) arrays of shape (n_times, n_modes) over a whole time grid.
+    """(E, G) arrays of shape (n_times, n_modes) over a whole time grid."""
+    return _contour_block(times, lambdas, w, cfg, spec, chunk, response=False)
+
+
+def eval_response_block(times, lambdas, w: WeightFunction,
+                        cfg: KernelConfig | None = None):
+    """(K_1, K_2) arrays of shape (n_times, n_modes): the first and second
+    time integrals of G_n, K_k(t) = L^-1[s^-k / (s w(s) + lambda_n)](t)."""
+    return _contour_block(times, lambdas, w, cfg, None, 64, response=True)
+
+
+def _contour_block(times, lambdas, w: WeightFunction, cfg: KernelConfig | None,
+                   spec: ContourSpec | None, chunk: int, response: bool):
+    """The contour quadrature behind every kernel pair.
 
     All times share one contour, so the symbol quadrature is evaluated once
     and only the exponential factor varies; times are chunked to bound the
-    working set.
+    working set.  The pairs differ only in the factor multiplying
+    1/(s w(s) + lambda) at each node: w(s) and 1 for (E, G), s^-1 and s^-2
+    for (K_1, K_2).  The arc encloses s = 0, so the poles of s^-k need no
+    separate contour.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
@@ -249,8 +233,8 @@ def eval_kernel_block(times, lambdas, w: WeightFunction,
         # wide spans would force very long ray gradings; band the grid so
         # each shared contour covers at most three decades
         order = np.argsort(times)
-        E = np.empty((len(times), len(lambdas)))
-        G = np.empty_like(E)
+        A = np.empty((len(times), len(lambdas)))
+        B = np.empty_like(A)
         lo = 0
         while lo < len(order):
             t_lo = times[order[lo]]
@@ -258,66 +242,56 @@ def eval_kernel_block(times, lambdas, w: WeightFunction,
             while hi < len(order) and times[order[hi]] <= 1e3 * t_lo:
                 hi += 1
             idx = order[lo:hi]
-            E[idx], G[idx] = eval_kernel_block(times[idx], lambdas, w,
-                                               cfg=cfg, chunk=chunk)
+            A[idx], B[idx] = _contour_block(times[idx], lambdas, w, cfg, None,
+                                            chunk, response)
             lo = hi
-        return E, G
+        return A, B
     if spec is None:
         spec = shared_contour(times, float(lambdas.min()), w, cfg)
 
+    # upper ray, then upper half-arc; ds = e^(i theta) dr on the ray and
+    # i s dbeta on the arc, absorbed into the node weights
     r, wr = spec.ray_quadrature()
-    logs_ray = np.log(r) + 1j * spec.theta
-    s_ray = np.exp(logs_ray)
-    morder = cfg.moment_order if cfg else 64
-    sw_ray = w.power_moments(logs_ray, order=morder)
     beta, wb = spec.arc_quadrature()
-    s_arc = spec.epsilon * np.exp(1j * beta)
-    sw_arc = w.power_moments(np.log(spec.epsilon) + 1j * beta, order=morder)
+    logs = np.concatenate([np.log(r) + 1j * spec.theta,
+                           np.log(spec.epsilon) + 1j * beta])
+    s = np.exp(logs)
+    sw = w.power_moments(logs, order=cfg.moment_order if cfg else 64)
+    ds = np.concatenate([wr * np.exp(1j * spec.theta), 1j * s[len(r):] * wb])
+    mult_a, mult_b = (1.0 / s, 1.0 / s ** 2) if response else (sw / s, 1.0)
 
-    denom_ray = sw_ray[None, :] + lambdas[:, None]
-    denom_arc = sw_arc[None, :] + lambdas[:, None]
-    base_ray = wr * np.exp(1j * spec.theta)
-    base_arc = wb * (1j * s_arc)
-    coefG_ray = base_ray[None, :] / denom_ray          # (n_modes, n_ray)
-    coefG_arc = base_arc[None, :] / denom_arc
-    coefE_ray = coefG_ray * (sw_ray / s_ray)[None, :]
-    coefE_arc = coefG_arc * (sw_arc / s_arc)[None, :]
+    denom = np.add.outer(lambdas, sw)                 # (n_modes, n_nodes)
+    coef_b = np.divide(ds, denom, out=denom)
+    coef_a = coef_b * mult_a
+    coef_b *= mult_b
 
-    E = np.empty((len(times), len(lambdas)))
-    G = np.empty_like(E)
+    A = np.empty((len(times), len(lambdas)))
+    B = np.empty_like(A)
     for lo in range(0, len(times), chunk):
-        tc = times[lo:lo + chunk]
-        ex_ray = np.exp(np.multiply.outer(tc, s_ray))
-        ex_arc = np.exp(np.multiply.outer(tc, s_arc))
-        aE = ex_ray @ coefE_ray.T + ex_arc @ coefE_arc.T
-        aG = ex_ray @ coefG_ray.T + ex_arc @ coefG_arc.T
-        E[lo:lo + chunk] = aE.imag / np.pi
-        G[lo:lo + chunk] = aG.imag / np.pi
-    return E, G
+        ex = np.exp(np.multiply.outer(times[lo:lo + chunk], s))
+        # the lower half is the conjugate of the upper, so the closed
+        # contour gives (a - conj a) / (2 pi i) = Im(a) / pi
+        A[lo:lo + chunk] = (ex @ coef_a.T).imag / np.pi
+        B[lo:lo + chunk] = (ex @ coef_b.T).imag / np.pi
+    return A, B
 
 
 def eval_En_contour(n: int, t: float, basis: SpectralBasis, w: WeightFunction,
                     spec: ContourSpec | None = None,
                     cfg: KernelConfig | None = None) -> float:
     """Homogeneous-propagator kernel for 1-based mode n at time t."""
-    lam = _mode_lambda(basis, n)
-    if spec is None:
-        spec = choose_contour(t, float(basis.eigenvalues[0]), w, cfg)
-    E, _ = _contour_rows(t, np.array([lam]), w, spec,
-                         moment_order=cfg.moment_order if cfg else 64)
-    return float(E[0])
+    spec = spec or choose_contour(t, float(basis.eigenvalues[0]), w, cfg)
+    return float(eval_kernel_row(t, [_mode_lambda(basis, n)], w, spec=spec,
+                                 cfg=cfg)[0][0])
 
 
 def eval_Gn_contour(n: int, t: float, basis: SpectralBasis, w: WeightFunction,
                     spec: ContourSpec | None = None,
                     cfg: KernelConfig | None = None) -> float:
     """Source-response kernel for 1-based mode n at time t."""
-    lam = _mode_lambda(basis, n)
-    if spec is None:
-        spec = choose_contour(t, float(basis.eigenvalues[0]), w, cfg)
-    _, G = _contour_rows(t, np.array([lam]), w, spec,
-                         moment_order=cfg.moment_order if cfg else 64)
-    return float(G[0])
+    spec = spec or choose_contour(t, float(basis.eigenvalues[0]), w, cfg)
+    return float(eval_kernel_row(t, [_mode_lambda(basis, n)], w, spec=spec,
+                                 cfg=cfg)[1][0])
 
 
 def _mode_lambda(basis: SpectralBasis, n: int) -> float:

@@ -5,11 +5,13 @@ response convolves with G_n:
 
     c_n(t) = E_n(t) c_n(0) + int_0^t G_n(t - tau) f_n(tau) d(tau).
 
-The convolution integrand has an integrable power singularity where the
-kernel argument vanishes, so the quadrature mesh is graded toward tau = t
-(grading exponent 2).  Sources enter as callables returning mode
-coefficients; projection of a spatial source is the caller's concern, which
-keeps this module purely spectral.
+The convolution is taken by product integration on K_1/K_2: the source is
+linear between panel edges graded toward tau = t, and the kernel moments
+over each panel are differences of K_1 = int G_n and K_2 = int K_1 at its
+edges.  The rule is exact for piecewise-linear sources, however singular
+G_n is near the origin or large lambda_n is.  Sources enter as callables
+returning mode coefficients; projection of a spatial source is the caller's
+concern, which keeps this module purely spectral.
 
 Per-time assembly is independent and parallelizable; solution fields are
 written once and immutable afterwards.
@@ -24,13 +26,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericError, PreconditionError
-from .kernel import KernelConfig, eval_kernel_block, shared_contour
+from .kernel import KernelConfig, eval_kernel_block, eval_response_block
 from .spectral import SpectralBasis, fractional_norm, synthesize
 from .weight import WeightFunction
 
 DUHAMEL_NODES = 256
-DUHAMEL_GRADING = 2.0
-_NODES_PER_PANEL = 4
 
 
 @dataclass(frozen=True)
@@ -125,35 +125,40 @@ def propagate_homogeneous(problem: ProblemSpec, t: float,
     return E[0] * problem.initial_coeffs
 
 
-def duhamel_mesh(t: float, n_nodes: int = DUHAMEL_NODES,
-                 grading: float = DUHAMEL_GRADING):
-    """Graded quadrature in the kernel argument sigma = t - tau on (0, t]:
-    panel edges t*(k/P)^grading cluster at sigma = 0 where the kernel has its
-    integrable singularity; Gauss-Legendre nodes inside each panel."""
-    n_panels = max(1, n_nodes // _NODES_PER_PANEL)
-    edges = t * (np.arange(n_panels + 1) / n_panels) ** grading
-    x, wq = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
-    a, b = edges[:-1, None], edges[1:, None]
-    nodes = (0.5 * (b - a) * x + 0.5 * (a + b)).ravel()
-    wts = (0.5 * (b - a) * np.broadcast_to(wq, nodes.reshape(n_panels, -1).shape)).ravel()
-    return nodes, wts
+def duhamel_mesh(t: float, n_nodes: int = DUHAMEL_NODES):
+    """Panel edges sigma_j = t (j/P)^2, j = 0..P, in the kernel argument
+    sigma = t - tau, and the panel widths; P = ``n_nodes``.  The grading
+    packs panels where sigma is small, so the source is sampled most
+    densely at tau = t, where the kernel weight is largest."""
+    edges = t * (np.arange(n_nodes + 1) / n_nodes) ** 2
+    return edges, np.diff(edges)
 
 
 def duhamel(problem: ProblemSpec, t: float, n_nodes: int = DUHAMEL_NODES,
-            grading: float = DUHAMEL_GRADING,
             cfg: KernelConfig | None = None) -> np.ndarray:
-    """Source response int_0^t G_n(t - tau) f_n(tau) d(tau) per mode."""
+    """Source response int_0^t G_n(sigma) f_n(t - sigma) d(sigma) per mode.
+
+    With f linear on each panel of ``duhamel_mesh``, integration by parts
+    gives the exact value
+
+        K_1(t) f(0) + sum_j (K_2(sigma_(j+1)) - K_2(sigma_j)) / h_j
+                            * (f(t - sigma_j) - f(t - sigma_(j+1))),
+
+    so a constant source returns K_1(t) f to rounding for any panel count.
+    """
     _check_time(problem, t)
     if problem.source is None:
         return np.zeros(problem.basis.n_modes)
-    sigma, wts = duhamel_mesh(t, n_nodes=n_nodes, grading=grading)
-    _, G = eval_kernel_block(sigma, problem.basis.eigenvalues, problem.weight,
-                             cfg=cfg)
-    f_vals = np.array([np.asarray(problem.source(t - s), dtype=float)
-                       for s in sigma])
-    if not np.all(np.isfinite(f_vals)):
+    sigma, h = duhamel_mesh(t, n_nodes=n_nodes)
+    K1, K2 = eval_response_block(sigma[1:], problem.basis.eigenvalues,
+                                 problem.weight, cfg=cfg)
+    f = np.array([np.asarray(problem.source(t - s), dtype=float) for s in sigma])
+    if not np.all(np.isfinite(f)):
         raise NumericError("source evaluation produced non-finite values")
-    return np.einsum("s,sn,sn->n", wts, G, f_vals)
+    # mean of K_1 over each panel, in place (K_2 vanishes at sigma = 0)
+    K2[1:] -= K2[:-1]
+    K2 /= h[:, None]
+    return K1[-1] * f[-1] + np.einsum("jn,jn->n", K2, f[:-1] - f[1:])
 
 
 def solve(problem: ProblemSpec, times, n_nodes: int = DUHAMEL_NODES,

@@ -119,7 +119,8 @@ def build_exact_dirichlet(L: float, N: int, grid_points: int = 1025) -> Spectral
     if N < 1:
         raise DomainError(f"mode count {N} must be >= 1")
     if grid_points < N + 2:
-        raise DomainError("grid too coarse for the requested mode count")
+        raise DomainError(f"grid of {grid_points} points too coarse for "
+                          f"N = {N} modes (needs at least N + 2)")
     n = np.arange(1, N + 1)
     x = np.linspace(0.0, L, grid_points)
     lam = (n * np.pi / L) ** 2

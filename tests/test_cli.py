@@ -89,6 +89,22 @@ class TestParseConfig:
             cli.parse_config(MINIMAL.replace("times = 0.25 0.5 1.0",
                                              "times = 0.5 2.0"))
 
+    def test_expression_attribute_walk_rejected(self):
+        walk = "1 + x*0*(().__class__.__base__.__subclasses__().__len__())"
+        text = MINIMAL + f"\n[operator]\nkind = fd\na = {walk}\nm = 101\nn = 4\n"
+        with pytest.raises(PreconditionError, match="__subclasses__"):
+            cli.parse_config(text)
+
+    @pytest.mark.parametrize("expr, match", [
+        ("0.1*log(1 + x)", r"log\(1 \+ x\)"),
+        ("1 + \x00x", "cannot parse expression"),
+        ("-" * 5000 + "1", "cannot parse expression"),
+    ], ids=["unlisted-call", "nul-byte", "deep-nesting"])
+    def test_expression_unlisted_call_rejected(self, expr, match):
+        text = MINIMAL + f"\n[operator]\nkind = fd\nq = {expr}\nm = 101\nn = 4\n"
+        with pytest.raises(PreconditionError, match=match):
+            cli.parse_config(text)
+
     def test_fd_operator_with_expressions(self):
         text = MINIMAL + "\n[operator]\nkind = fd\na = 1 + x/2\nq = 0.1\n" \
                          "m = 401\nn = 8\n"
@@ -128,6 +144,17 @@ class TestDispatch:
         norms = (out / "solve_norms.csv").read_text().splitlines()
         header = [ln for ln in norms if not ln.startswith("#")][0]
         assert header == "t,l2,graph_0.5,graph_1.0"
+
+    def test_solve_beyond_default_sine_grid(self, tmp_path):
+        # N + 2 > 1025: the sine basis grid grows with the mode count
+        config = MINIMAL.replace("u0 = profile: sine",
+                                 "u0 = modes: 1\nsource = modes: 1") \
+            + "\n[operator]\nkind = dirichlet\nN = 1024\n"
+        rc, out = self.run(tmp_path, "solve", config=config)
+        assert rc == 0
+        rows = [ln for ln in (out / "solve_field.csv").read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        assert len(rows) == 3 * 1026
 
     def test_oracle_mirror(self, tmp_path):
         rc, out = self.run(tmp_path, "oracle", extra=["--set", "numerics.steps=100",

@@ -19,6 +19,7 @@ from dodiff.kernel import (
     eval_Gn_spectral,
     eval_kernel_block,
     eval_kernel_row,
+    eval_response_block,
     mittag_leffler,
     phi_n,
     shared_contour,
@@ -125,6 +126,21 @@ class TestContourKernels:
             Er, Gr = eval_kernel_row(float(times[j]), lams, const_weight)
             assert np.allclose(E[j], Er, rtol=1e-10, atol=1e-30)
             assert np.allclose(G[j], Gr, rtol=1e-10)
+
+    @pytest.mark.parametrize("weight", ["const_weight", "box_half", "tapered"])
+    def test_response_block_integrates_G(self, weight, basis64, request):
+        # K_1 = int_0^t G_n = (1 - E_n)/lambda_n, from dE_n/dt = -lambda_n G_n,
+        # per mode; K_2 is the time integral of K_1
+        w = request.getfixturevalue(weight)
+        lams = basis64.eigenvalues
+        for t in (1e-4, 1.0, 1e4):
+            E, _ = eval_kernel_block([t], lams, w)
+            K1, K2 = eval_response_block(t * np.array([1 - 1e-3, 1.0, 1 + 1e-3]),
+                                         lams, w)
+            exact = (1.0 - E[0]) / lams
+            assert np.max(np.abs(K1[1] - exact) / exact) <= 1e-11
+            slope = (K2[2] - K2[0]) / (2e-3 * t)
+            assert np.max(np.abs(slope - K1[1]) / K1[1]) <= 1e-5
 
     def test_shared_contour_spans(self, const_weight):
         spec = shared_contour([0.01, 1.0], 1.0, const_weight)

@@ -3,7 +3,12 @@ import pytest
 
 from dodiff import make_box_weight, make_constant_weight
 from dodiff.errors import DomainError, NumericError, PreconditionError
-from dodiff.kernel import eval_Gn_contour, eval_kernel_block, mittag_leffler
+from dodiff.kernel import (
+    eval_Gn_contour,
+    eval_kernel_block,
+    eval_response_block,
+    mittag_leffler,
+)
 from dodiff.solver import (
     ProblemSpec,
     SolutionField,
@@ -105,6 +110,42 @@ class TestDuhamel:
         assert np.max(np.abs(a - c)) <= 1e-5 * scale
         # graded-mesh error falls at second order in the panel count
         assert np.max(np.abs(b - c)) <= 0.3 * np.max(np.abs(a - c))
+        # the same per mode, so mode 1's scale cannot hide the high modes
+        rel_a = np.max(np.abs(a - c) / np.abs(c))
+        assert rel_a <= 1e-5
+        assert np.max(np.abs(b - c) / np.abs(c)) <= 0.3 * rel_a
+
+    @pytest.mark.parametrize("weight", ["const_weight", "box_half", "tapered"])
+    def test_constant_source_per_mode(self, weight, basis_pi, request):
+        # F = 1 in every mode: the response is int_0^t G_n = (1 - E_n)/lambda_n,
+        # also where G_n is concentrated far below the first panel
+        w = request.getfixturevalue(weight)
+        lam = basis_pi.eigenvalues
+        prob = ProblemSpec(w, basis_pi, np.zeros(32), lambda t: np.ones(32), 100.0)
+        for t in (1e-3, 1.0, 100.0):
+            E, _ = eval_kernel_block([t], lam, w)
+            exact = (1.0 - E[0]) / lam
+            rel = np.abs(duhamel(prob, t) - exact) / exact
+            assert np.max(rel) <= 1e-8, f"t = {t}, mode {rel.argmax() + 1}"
+
+    def test_constant_source_panel_count_free(self, basis_pi, tapered):
+        # product integration is exact for a constant source at any panel count
+        g = (-1.0) ** np.arange(32) / np.arange(1.0, 33.0)
+        prob = ProblemSpec(tapered, basis_pi, np.zeros(32), lambda t: g, 2.0)
+        coarse = duhamel(prob, 1.0, n_nodes=16)
+        fine = duhamel(prob, 1.0, n_nodes=4096)
+        assert np.max(np.abs(coarse - fine) / np.abs(fine)) <= 1e-12
+
+    def test_linear_source_gives_ramp_response(self, basis_pi, box_half):
+        # F = tau g: int_0^t G_n(sigma) (t - sigma) d(sigma) = K_2(t) g_n,
+        # exact at any panel count since the source is linear
+        g = (-1.0) ** np.arange(32) / np.arange(1.0, 33.0)
+        prob = ProblemSpec(box_half, basis_pi, np.zeros(32), lambda t: t * g, 2.0)
+        for t in (1e-3, 1.0):
+            _, K2 = eval_response_block([t], basis_pi.eigenvalues, box_half)
+            for panels in (16, 4096):
+                got = duhamel(prob, t, n_nodes=panels)
+                assert np.max(np.abs(got / (K2[0] * g) - 1.0)) <= 1e-9
 
 
 class TestSolve:

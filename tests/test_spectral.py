@@ -35,6 +35,8 @@ class TestExactDirichlet:
             build_exact_dirichlet(-1.0, 4)
         with pytest.raises(DomainError):
             build_exact_dirichlet(1.0, 0)
+        with pytest.raises(DomainError, match="1025 points .* N = 1024"):
+            build_exact_dirichlet(1.0, 1024)
 
 
 class TestFiniteDifference:
