@@ -271,9 +271,8 @@ def provenance_lines(run: RunConfig, config_text: str) -> list[str]:
 
 
 def _kernel_config(bundle: ProblemBundle) -> kn.KernelConfig:
-    return kn.KernelConfig.for_weight(bundle.weight,
-                                      theta=bundle.numerics["theta"],
-                                      moment_order=bundle.numerics["quad_order"])
+    return kn.KernelConfig(theta=bundle.numerics["theta"],
+                           moment_order=bundle.numerics["quad_order"])
 
 
 def _cmd_kernel(run: RunConfig, bundle: ProblemBundle, prov: list[str]) -> int:

@@ -46,47 +46,47 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import rgamma
 
 from .errors import DomainError, NumericError, PreconditionError
 from .spectral import SpectralBasis
-from .weight import WeightFunction, zeta_inv
+from .weight import WeightFunction, monotone_root, zeta_inv
 
 _LN10 = math.log(10.0)
+
+# contour quadrature: Gauss-Legendre panels on the ray, graded geometrically
+# by _PANEL_RATIO from the arc radius out to the cutoff, where the discarded
+# tail is below 10^-_TAIL_DECADES; the arc takes one Gauss-Legendre rule
+_RAY_ORDER = 16
+_PANEL_RATIO = 2.0
+_ARC_COUNT = 24
+_TAIL_DECADES = 16.0
+# times per exponential block, bounding the working set of a kernel block
+_CHUNK = 64
+# spectral route: window in r t and tail floor, panel width in log r
+_SPECTRAL_LOWER_RT = 1e-8
+_SPECTRAL_UPPER_RT = 40.0
+_SPECTRAL_TAIL_FLOOR = 1e-12
+_SPECTRAL_PANEL_WIDTH = 0.75
 
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Quadrature policy for kernel evaluations.
+    """The kernel settings a caller chooses: the contour angle ``theta`` in
+    (pi/2, pi) and the Gauss-Legendre order of the symbol quadrature per
+    polynomial piece.  Kernel values do not depend on ``theta``; everything
+    else about the contour follows from the weight, the eigenvalues and the
+    times."""
 
-    ``eta`` = 1/(2 sup|mu|) is the symbol margin that keeps the arc away
-    from the zero set of s w(s) + lambda; ``t_threshold`` is the time scale
-    beyond which the 1/t branch of the arc-radius rule binds.
-    """
-
-    eta: float
     theta: float = 3.0 * np.pi / 4.0
-    ray_order: int = 16
-    panel_ratio: float = 2.0
-    arc_count: int = 24
-    tail_decades: float = 16.0
-    t_threshold: float = math.e
     moment_order: int = 64
-    spectral_lower_rt: float = 1e-8
-    spectral_upper_rt: float = 40.0
-    spectral_tail_floor: float = 1e-12
-    spectral_panel_width: float = 0.75
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise PreconditionError("eta must be positive")
         if not (np.pi / 2.0 < self.theta < np.pi):
             raise PreconditionError(f"theta = {self.theta} outside (pi/2, pi)")
 
-    @classmethod
-    def for_weight(cls, w: WeightFunction, **kwargs) -> "KernelConfig":
-        return cls(eta=1.0 / (2.0 * w.sup_norm), **kwargs)
+
+_DEFAULT_CONFIG = KernelConfig()
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,13 @@ class ContourSpec:
     """A concrete deformed contour: rays at +-theta from radius epsilon out
     to the cutoff, plus the joining arc.  The cutoff carries a truncation
     certificate: the discarded ray tail is bounded by exp(cutoff*t*cos(theta)),
-    required to be below 1e-16."""
+    required to be below 1e-16.  The node counts follow from these four
+    values and the module's fixed quadrature orders."""
 
     epsilon: float
     theta: float
     t: float
     ray_cutoff: float
-    ray_order: int = 16
-    panel_ratio: float = 2.0
-    arc_count: int = 24
 
     def __post_init__(self):
         if not (np.pi / 2.0 < self.theta < np.pi):
@@ -113,22 +111,26 @@ class ContourSpec:
             raise DomainError("contour is built for a positive time")
         # compared in log space with rounding slack: the cutoff rule lands
         # exactly on the certificate boundary
-        if self.ray_cutoff * self.t * math.cos(self.theta) > -16.0 * _LN10 + 1e-9:
+        if self.ray_cutoff * self.t * math.cos(self.theta) > -_TAIL_DECADES * _LN10 + 1e-9:
             raise NumericError(
                 "truncation certificate unmet: exp(R t cos theta) > 1e-16")
 
     @property
     def n_panels(self) -> int:
         return max(1, int(np.ceil(np.log(self.ray_cutoff / self.epsilon)
-                                  / np.log(self.panel_ratio))))
+                                  / np.log(_PANEL_RATIO))))
 
     @property
     def ray_count(self) -> int:
-        return self.n_panels * self.ray_order
+        return self.n_panels * _RAY_ORDER
+
+    @property
+    def arc_count(self) -> int:
+        return _ARC_COUNT
 
     def ray_quadrature(self):
         """Geometrically graded Gauss-Legendre nodes on [epsilon, cutoff]."""
-        x, wq = np.polynomial.legendre.leggauss(self.ray_order)
+        x, wq = np.polynomial.legendre.leggauss(_RAY_ORDER)
         edges = self.epsilon * (self.ray_cutoff / self.epsilon) ** (
             np.arange(self.n_panels + 1) / self.n_panels)
         lo, hi = edges[:-1, None], edges[1:, None]
@@ -138,49 +140,19 @@ class ContourSpec:
 
     def arc_quadrature(self):
         """Gauss-Legendre nodes in angle on the upper half-arc [0, theta]."""
-        x, wq = np.polynomial.legendre.leggauss(self.arc_count)
+        x, wq = np.polynomial.legendre.leggauss(_ARC_COUNT)
         return 0.5 * self.theta * (x + 1.0), 0.5 * self.theta * wq
-
-
-def choose_contour(t: float, lambda1: float, w: WeightFunction,
-                   cfg: KernelConfig | None = None) -> ContourSpec:
-    """Contour for time t: radius rule eps = min(eps0, 1/t) with
-    eps0 = (1/2) min(1, eta*lambda_1, zeta_inv(eta*lambda_1)), which keeps
-    |s w(s)| <= lambda_1/2 on the arc for every mode; cutoff chosen so the
-    discarded tail is below 10^-tail_decades."""
-    if t <= 0.0:
-        raise DomainError(f"time t = {t} must be positive")
-    if cfg is None:
-        cfg = KernelConfig.for_weight(w)
-    y = cfg.eta * lambda1
-    eps0 = 0.5 * min(1.0, y, zeta_inv(y))
-    epsilon = min(eps0, 1.0 / t)
-    cutoff = cfg.tail_decades * _LN10 / (t * abs(math.cos(cfg.theta)))
-    return ContourSpec(epsilon=epsilon, theta=cfg.theta, t=t, ray_cutoff=cutoff,
-                       ray_order=cfg.ray_order, panel_ratio=cfg.panel_ratio,
-                       arc_count=cfg.arc_count)
-
-
-def eval_kernel_row(t: float, lambdas, w: WeightFunction,
-                    spec: ContourSpec | None = None,
-                    cfg: KernelConfig | None = None):
-    """(E_n(t), G_n(t)) for a whole eigenvalue vector at one time."""
-    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    if np.any(lambdas <= 0.0):
-        raise DomainError("eigenvalues must be positive")
-    if spec is None:
-        spec = choose_contour(t, float(lambdas.min()), w, cfg)
-    E, G = eval_kernel_block([t], lambdas, w, cfg=cfg, spec=spec)
-    return E[0], G[0]
 
 
 def shared_contour(times, lambda1: float, w: WeightFunction,
                    cfg: KernelConfig | None = None) -> ContourSpec:
-    """One contour admissible for every time in ``times``: the radius obeys
-    the 1/t rule at the largest time, the cutoff certificate at the smallest.
+    """One contour admissible for every time in ``times``, and the only
+    radius and cutoff rule: eps = min(1/t_max, max(eps0, 1/4)) with the proof
+    radius eps0 = (1/2) min(1, eta*lambda_1, zeta_inv(eta*lambda_1)),
+    eta = 1/(2 sup|mu|); the cutoff meets the truncation certificate at t_min.
     Kernel values are contour-independent, so sharing is exact.
 
-    The radius is floored at 0.25: the resolvent symbol has no zeros off the
+    The radius is floored at 1/4: the resolvent symbol has no zeros off the
     cut (its modulus stays above C_beta * lambda everywhere), so larger arcs
     are equally valid and avoid the long geometric ray grading that the
     worst-case proof radius would force for weights with large sup-norm.
@@ -188,34 +160,46 @@ def shared_contour(times, lambda1: float, w: WeightFunction,
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times <= 0.0):
         raise DomainError("all times must be positive")
-    if cfg is None:
-        cfg = KernelConfig.for_weight(w)
-    y = cfg.eta * lambda1
+    theta = (cfg or _DEFAULT_CONFIG).theta
+    eta = 1.0 / (2.0 * w.sup_norm)
+    y = eta * lambda1
     eps0 = 0.5 * min(1.0, y, zeta_inv(y))
     epsilon = min(1.0 / float(times.max()), max(eps0, 0.25))
-    cutoff = cfg.tail_decades * _LN10 / (float(times.min()) * abs(math.cos(cfg.theta)))
-    return ContourSpec(epsilon=epsilon, theta=cfg.theta, t=float(times.min()),
-                       ray_cutoff=cutoff, ray_order=cfg.ray_order,
-                       panel_ratio=cfg.panel_ratio, arc_count=cfg.arc_count)
+    cutoff = _TAIL_DECADES * _LN10 / (float(times.min()) * abs(math.cos(theta)))
+    return ContourSpec(epsilon=epsilon, theta=theta, t=float(times.min()),
+                       ray_cutoff=cutoff)
+
+
+def choose_contour(t: float, lambda1: float, w: WeightFunction,
+                   cfg: KernelConfig | None = None) -> ContourSpec:
+    """The shared contour of the single time t."""
+    return shared_contour([t], lambda1, w, cfg)
+
+
+def eval_kernel_row(t: float, lambdas, w: WeightFunction,
+                    spec: ContourSpec | None = None,
+                    cfg: KernelConfig | None = None):
+    """(E_n(t), G_n(t)) for a whole eigenvalue vector at one time."""
+    E, G = eval_kernel_block([t], lambdas, w, cfg=cfg, spec=spec)
+    return E[0], G[0]
 
 
 def eval_kernel_block(times, lambdas, w: WeightFunction,
                       cfg: KernelConfig | None = None,
-                      spec: ContourSpec | None = None,
-                      chunk: int = 64):
+                      spec: ContourSpec | None = None):
     """(E, G) arrays of shape (n_times, n_modes) over a whole time grid."""
-    return _contour_block(times, lambdas, w, cfg, spec, chunk, response=False)
+    return _contour_block(times, lambdas, w, cfg, spec, response=False)
 
 
 def eval_response_block(times, lambdas, w: WeightFunction,
                         cfg: KernelConfig | None = None):
     """(K_1, K_2) arrays of shape (n_times, n_modes): the first and second
     time integrals of G_n, K_k(t) = L^-1[s^-k / (s w(s) + lambda_n)](t)."""
-    return _contour_block(times, lambdas, w, cfg, None, 64, response=True)
+    return _contour_block(times, lambdas, w, cfg, None, response=True)
 
 
 def _contour_block(times, lambdas, w: WeightFunction, cfg: KernelConfig | None,
-                   spec: ContourSpec | None, chunk: int, response: bool):
+                   spec: ContourSpec | None, response: bool):
     """The contour quadrature behind every kernel pair.
 
     All times share one contour, so the symbol quadrature is evaluated once
@@ -225,6 +209,7 @@ def _contour_block(times, lambdas, w: WeightFunction, cfg: KernelConfig | None,
     for (K_1, K_2).  The arc encloses s = 0, so the poles of s^-k need no
     separate contour.
     """
+    cfg = cfg or _DEFAULT_CONFIG
     times = np.atleast_1d(np.asarray(times, dtype=float))
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if np.any(lambdas <= 0.0):
@@ -243,7 +228,7 @@ def _contour_block(times, lambdas, w: WeightFunction, cfg: KernelConfig | None,
                 hi += 1
             idx = order[lo:hi]
             A[idx], B[idx] = _contour_block(times[idx], lambdas, w, cfg, None,
-                                            chunk, response)
+                                            response)
             lo = hi
         return A, B
     if spec is None:
@@ -256,7 +241,7 @@ def _contour_block(times, lambdas, w: WeightFunction, cfg: KernelConfig | None,
     logs = np.concatenate([np.log(r) + 1j * spec.theta,
                            np.log(spec.epsilon) + 1j * beta])
     s = np.exp(logs)
-    sw = w.power_moments(logs, order=cfg.moment_order if cfg else 64)
+    sw = w.power_moments(logs, order=cfg.moment_order)
     ds = np.concatenate([wr * np.exp(1j * spec.theta), 1j * s[len(r):] * wb])
     mult_a, mult_b = (1.0 / s, 1.0 / s ** 2) if response else (sw / s, 1.0)
 
@@ -267,12 +252,12 @@ def _contour_block(times, lambdas, w: WeightFunction, cfg: KernelConfig | None,
 
     A = np.empty((len(times), len(lambdas)))
     B = np.empty_like(A)
-    for lo in range(0, len(times), chunk):
-        ex = np.exp(np.multiply.outer(times[lo:lo + chunk], s))
+    for lo in range(0, len(times), _CHUNK):
+        ex = np.exp(np.multiply.outer(times[lo:lo + _CHUNK], s))
         # the lower half is the conjugate of the upper, so the closed
         # contour gives (a - conj a) / (2 pi i) = Im(a) / pi
-        A[lo:lo + chunk] = (ex @ coef_a.T).imag / np.pi
-        B[lo:lo + chunk] = (ex @ coef_b.T).imag / np.pi
+        A[lo:lo + _CHUNK] = (ex @ coef_a.T).imag / np.pi
+        B[lo:lo + _CHUNK] = (ex @ coef_b.T).imag / np.pi
     return A, B
 
 
@@ -280,7 +265,6 @@ def eval_En_contour(n: int, t: float, basis: SpectralBasis, w: WeightFunction,
                     spec: ContourSpec | None = None,
                     cfg: KernelConfig | None = None) -> float:
     """Homogeneous-propagator kernel for 1-based mode n at time t."""
-    spec = spec or choose_contour(t, float(basis.eigenvalues[0]), w, cfg)
     return float(eval_kernel_row(t, [_mode_lambda(basis, n)], w, spec=spec,
                                  cfg=cfg)[0][0])
 
@@ -289,7 +273,6 @@ def eval_Gn_contour(n: int, t: float, basis: SpectralBasis, w: WeightFunction,
                     spec: ContourSpec | None = None,
                     cfg: KernelConfig | None = None) -> float:
     """Source-response kernel for 1-based mode n at time t."""
-    spec = spec or choose_contour(t, float(basis.eigenvalues[0]), w, cfg)
     return float(eval_kernel_row(t, [_mode_lambda(basis, n)], w, spec=spec,
                                  cfg=cfg)[1][0])
 
@@ -327,28 +310,26 @@ def eval_Gn_spectral(n: int, t: float, basis: SpectralBasis, w: WeightFunction,
 
     Quadratured in u = log r on Gauss-Legendre panels; the window is chosen
     so both tails sit below the kernel scale: the upper end where r t
-    exceeds ``spectral_upper_rt``, the lower end where r t is below
-    ``spectral_lower_rt`` and the crude tail estimate r*Phi_n(r) falls under
-    ``spectral_tail_floor``/lambda_n^2 (scaled by sup|mu|).
+    exceeds 40, the lower end where r t is below 1e-8 and the crude tail
+    estimate r*Phi_n(r) falls under 1e-12/lambda_n^2 (scaled by sup|mu|).
     """
     if t <= 0.0:
         raise DomainError(f"time t = {t} must be positive")
-    if cfg is None:
-        cfg = KernelConfig.for_weight(w)
+    cfg = cfg or _DEFAULT_CONFIG
     lam = _mode_lambda(basis, n)
 
-    r_min = cfg.spectral_lower_rt / t
-    floor = cfg.spectral_tail_floor * max(1.0, w.sup_norm) / lam ** 2
+    r_min = _SPECTRAL_LOWER_RT / t
+    floor = _SPECTRAL_TAIL_FLOOR * max(1.0, w.sup_norm) / lam ** 2
     while r_min * phi_values(lam, r_min, w) > floor:
         r_min /= 10.0
         if r_min < 1e-130:
             raise NumericError("spectral lower truncation certificate unmet")
     u_min = math.log(r_min)
-    u_max = math.log(cfg.spectral_upper_rt / t)
+    u_max = math.log(_SPECTRAL_UPPER_RT / t)
     if u_max <= u_min:
         raise NumericError("empty spectral quadrature window")
 
-    u, wu = _panel_gauss(u_min, u_max, cfg.spectral_panel_width)
+    u, wu = _panel_gauss(u_min, u_max, _SPECTRAL_PANEL_WIDTH)
     vals = _phi_from_logr(lam, u, w, order=cfg.moment_order) \
         * np.exp(u - np.exp(u) * t)
     return float(vals @ wu / np.pi)
@@ -453,20 +434,20 @@ def an_threshold(n: int, basis: SpectralBasis, w: WeightFunction) -> float:
     """The radius a_n where int_0^1 a^alpha mu(alpha) d(alpha) = lambda_n / 2.
 
     The moment map is strictly increasing, so the root is unique; solved by
-    bracketing bisection with residual certified below 1e-10 * lambda_n.
+    a bracketed root in u = log a with residual certified below
+    1e-10 * lambda_n.
     """
     lam = _mode_lambda(basis, n)
     target = lam / 2.0
 
-    def f(u):
-        return float(w.power_moments(np.array([u + 0.0j]))[0].real) - target
+    def moment(u):
+        return float(w.power_moments(np.array([u + 0.0j]))[0].real)
 
-    lo, hi = -300.0, 300.0
-    if f(lo) > 0.0 or f(hi) < 0.0:
+    u = monotone_root(moment, target, -300.0, 300.0, 1e-14)
+    if u is None:
         raise NumericError(f"a_n bracket expansion failed for lambda = {lam}")
-    u = brentq(f, lo, hi, xtol=1e-14, rtol=1e-15, maxiter=300)
     a = float(math.exp(u))
-    if abs(f(u)) > 1e-10 * lam:
+    if abs(moment(u) - target) > 1e-10 * lam:
         raise NumericError(f"a_n residual certificate unmet at lambda = {lam}")
     return a
 
@@ -549,19 +530,15 @@ def build_kernel_table(basis: SpectralBasis, w: WeightFunction, times,
         modes = np.arange(1, basis.n_modes + 1)
     modes = np.atleast_1d(np.asarray(modes, dtype=int))
     lams = np.array([_mode_lambda(basis, int(m)) for m in modes])
+    if method not in ("contour", "spectral"):
+        raise DomainError(f"unknown kernel method {method!r}")
     E = np.empty((len(modes), len(times)))
     G = np.empty_like(E)
-    if method == "contour":
-        for j, t in enumerate(times):
-            E[:, j], G[:, j] = eval_kernel_row(t, lams, w, cfg=cfg)
-    elif method == "spectral":
-        for i, m in enumerate(modes):
-            for j, t in enumerate(times):
-                G[i, j] = eval_Gn_spectral(int(m), float(t), basis, w, cfg=cfg)
+    for j, t in enumerate(times):
+        E[:, j], G[:, j] = eval_kernel_row(t, lams, w, cfg=cfg)
         # the homogeneous kernel has no independent real-axis route here;
         # tables tagged spectral carry the contour values for E
-        for j, t in enumerate(times):
-            E[:, j], _ = eval_kernel_row(t, lams, w, cfg=cfg)
-    else:
-        raise DomainError(f"unknown kernel method {method!r}")
+        if method == "spectral":
+            G[:, j] = [eval_Gn_spectral(int(m), float(t), basis, w, cfg=cfg)
+                       for m in modes]
     return KernelTable(modes=modes, times=times, E=E, G=G, method=method)

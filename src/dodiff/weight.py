@@ -28,13 +28,13 @@ concurrent use from any number of workers is safe.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import brentq
 
 from . import textio
 from .errors import DomainError, NumericError, PreconditionError
@@ -341,19 +341,47 @@ def vartheta_env(r: float) -> float:
     return zeta_env(r) / r
 
 
+def monotone_root(g, target: float, lo: float, hi: float, xtol: float):
+    """The u in [lo, hi] where the increasing positive map g reaches target.
+
+    Regula falsi with the Illinois step on log g(u) - log target: the maps
+    solved here are power-like in e^u, so their logs are close to linear in
+    u and the secant lands near the root; halving the value kept at a stale
+    end keeps both ends moving.  Returns None when [lo, hi] does not bracket
+    the root.
+    """
+    def f(u):
+        return math.log(g(u)) - math.log(target)
+
+    flo, fhi = f(lo), f(hi)
+    if flo > 0.0 or fhi < 0.0:
+        return None
+    u, side = lo, 0
+    while hi - lo > xtol + 4e-16 * abs(u):
+        u = hi - fhi * (hi - lo) / (fhi - flo)
+        fu = f(u)
+        if fu == 0.0 or not lo < u < hi:
+            break
+        if fu > 0.0:
+            hi, fhi, flo = u, fu, flo * (0.5 if side > 0 else 1.0)
+            side = 1
+        else:
+            lo, flo, fhi = u, fu, fhi * (0.5 if side < 0 else 1.0)
+            side = -1
+    return u
+
+
 def zeta_inv(y: float) -> float:
-    """Inverse of the increasing envelope zeta, by bisection in log r.
+    """Inverse of the increasing envelope zeta, by a bracketed root in log r.
 
     The bracket spans log r in [-690, 690]; tiny targets (y below about
     1/690) come from weights with very large sup-norm and fall outside it.
     """
     if y <= 0.0:
         raise DomainError(f"zeta_inv requires y > 0, got {y}")
-    lo, hi = -690.0, 690.0
-    f = lambda u: zeta_env(np.exp(u)) - y
-    if f(lo) > 0.0 or f(hi) < 0.0:
-        raise NumericError(f"zeta_inv target {y} outside the bisection bracket")
-    u = brentq(f, lo, hi, xtol=1e-13, rtol=1e-15)
+    u = monotone_root(lambda u: zeta_env(math.exp(u)), y, -690.0, 690.0, 1e-13)
+    if u is None:
+        raise NumericError(f"zeta_inv target {y} outside the root bracket")
     return float(np.exp(u))
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -199,3 +204,15 @@ class TestDispatch:
         a = cli.textio.document_hash(MINIMAL)
         b = cli.textio.document_hash("# a comment\n" + MINIMAL)
         assert a == b
+
+
+def test_import_leaves_out_scipy_optimize():
+    # the package finds its roots itself; scipy.optimize would be most of
+    # the import time of the CLI
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, dodiff.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['scipy', 'optimize']))")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"

@@ -49,10 +49,21 @@ def basis64():
 
 class TestChooseContour:
     def test_radius_rule_moderate_t(self, const_weight):
-        spec = choose_contour(1.0, 1.0, const_weight)
-        expected = 0.5 * min(1.0, 0.5, zeta_inv(0.5))
-        assert spec.epsilon == pytest.approx(expected, rel=1e-12)
-        assert zeta_env(zeta_inv(0.5)) == pytest.approx(0.5, rel=1e-10)
+        # one rule: eps = min(1/t, max(eps0, 1/4)); at lambda_1 = 1 the proof
+        # radius eps0 = zeta_inv(1/2)/2 is below the floor
+        assert 0.5 * zeta_inv(0.5) < 0.25
+        assert choose_contour(1.0, 1.0, const_weight).epsilon == 0.25
+        # lambda_1 = 1.8 puts eta*lambda_1 = 0.9 where eps0 = zeta_inv(0.9)/2
+        # clears the floor and binds below 1/t
+        eps0 = 0.5 * min(1.0, 0.9, zeta_inv(0.9))
+        assert 0.25 < eps0 < 1.0
+        assert choose_contour(1.0, 1.8, const_weight).epsilon == pytest.approx(
+            eps0, rel=1e-12)
+        assert zeta_env(zeta_inv(0.9)) == pytest.approx(0.9, rel=1e-10)
+        for t in (1e-3, 1.0, 3.0, 1e2):
+            for lam1 in (1.0, 1.8, 50.0):
+                assert choose_contour(t, lam1, const_weight) == shared_contour(
+                    [t], lam1, const_weight)
 
     def test_radius_rule_large_t(self, const_weight):
         spec = choose_contour(100.0, 1.0, const_weight)
@@ -94,19 +105,20 @@ class TestContourKernels:
         gap4 = abs(eval_En_contour(1, 1e-4, basis64, box_half) - 1.0)
         assert gap6 < gap4
 
-    def test_contour_independence(self, basis64, const_weight):
-        spec1 = choose_contour(1.0, 1.0, const_weight)
-        cfg2 = KernelConfig.for_weight(const_weight, theta=2 * np.pi / 3)
-        spec2 = choose_contour(1.0, 1.0, const_weight, cfg2)
-        spec2 = ContourSpec(epsilon=spec2.epsilon / 2, theta=spec2.theta, t=spec2.t,
-                            ray_cutoff=spec2.ray_cutoff)
-        for n in (1, 4):
-            e1 = eval_En_contour(n, 1.0, basis64, const_weight, spec=spec1)
-            e2 = eval_En_contour(n, 1.0, basis64, const_weight, spec=spec2)
-            assert abs(e1 - e2) <= 1e-8 * abs(e1)
-            g1 = eval_Gn_contour(n, 1.0, basis64, const_weight, spec=spec1)
-            g2 = eval_Gn_contour(n, 1.0, basis64, const_weight, spec=spec2)
-            assert abs(g1 - g2) <= 1e-8 * abs(g1)
+    def test_contour_independence(self, basis64, const_weight, box_half, tapered):
+        # per mode: the default contour against theta = 2 pi/3 with half the
+        # radius, for every eigenvalue of the basis
+        lams = basis64.eigenvalues
+        for w in (const_weight, box_half, tapered):
+            for t in (1e-3, 1.0, 1e2, 1e4):
+                spec1 = choose_contour(t, lams[0], w)
+                alt = choose_contour(t, lams[0], w, KernelConfig(theta=2 * np.pi / 3))
+                spec2 = ContourSpec(epsilon=alt.epsilon / 2, theta=alt.theta,
+                                    t=alt.t, ray_cutoff=alt.ray_cutoff)
+                E1, G1 = eval_kernel_row(t, lams, w, spec=spec1)
+                E2, G2 = eval_kernel_row(t, lams, w, spec=spec2)
+                assert np.max(np.abs(E1 - E2) / np.abs(E1)) <= 1e-8
+                assert np.max(np.abs(G1 - G2) / np.abs(G1)) <= 1e-8
 
     def test_Gn_constant_order_limit(self, basis64, box_half):
         got = eval_Gn_contour(1, 1.0, basis64, box_half)
@@ -307,6 +319,9 @@ class TestKernelTable:
         assert table.method == "spectral"
         assert table.G[1, 0] == pytest.approx(
             eval_Gn_spectral(3, 0.5, basis64, const_weight), rel=1e-12)
+        # E has no real-axis route: the spectral table carries contour values
+        contour = build_kernel_table(basis64, const_weight, [0.5], modes=[1, 3])
+        assert np.array_equal(table.E, contour.E)
 
     def test_invariants(self):
         with pytest.raises(PreconditionError):
