@@ -30,7 +30,11 @@ real-axis representation
 
 where D + iN is the upper-side cut limit of s w(s).  Phi_n is the spectral
 density of the mode: non-negative, integrable against 1/r, and the route is
-fully independent of the contour quadrature.
+fully independent of the contour quadrature.  D + iN does not depend on the
+mode, so the route is one block: the cut value is evaluated once on a grid
+in log r shared by all modes and times, each mode adds its lambda_n, and
+e^(-rt) enters as a matrix.  The tail-bound products lambda_n int Phi_n/r dr
+likewise share one grid across modes.
 
 Only the upper ray and upper half-arc are quadratured; the lower half is
 their complex conjugate, which halves the cost and forces a real result.
@@ -54,10 +58,11 @@ from .weight import WeightFunction, monotone_root, zeta_inv
 
 _LN10 = math.log(10.0)
 
-# contour quadrature: Gauss-Legendre panels on the ray, graded geometrically
-# by _PANEL_RATIO from the arc radius out to the cutoff, where the discarded
-# tail is below 10^-_TAIL_DECADES; the arc takes one Gauss-Legendre rule
-_RAY_ORDER = 16
+# Gauss-Legendre order per panel, on the contour ray and on the log r grids
+_PANEL_ORDER = 16
+# contour quadrature: ray panels graded geometrically by _PANEL_RATIO from
+# the arc radius out to the cutoff, where the discarded tail is below
+# 10^-_TAIL_DECADES; the arc takes one Gauss-Legendre rule
 _PANEL_RATIO = 2.0
 _ARC_COUNT = 24
 _TAIL_DECADES = 16.0
@@ -122,7 +127,7 @@ class ContourSpec:
 
     @property
     def ray_count(self) -> int:
-        return self.n_panels * _RAY_ORDER
+        return self.n_panels * _PANEL_ORDER
 
     @property
     def arc_count(self) -> int:
@@ -130,18 +135,23 @@ class ContourSpec:
 
     def ray_quadrature(self):
         """Geometrically graded Gauss-Legendre nodes on [epsilon, cutoff]."""
-        x, wq = np.polynomial.legendre.leggauss(_RAY_ORDER)
-        edges = self.epsilon * (self.ray_cutoff / self.epsilon) ** (
-            np.arange(self.n_panels + 1) / self.n_panels)
-        lo, hi = edges[:-1, None], edges[1:, None]
-        nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        wts = 0.5 * (hi - lo) * np.broadcast_to(wq, nodes.shape)
-        return nodes.ravel(), wts.ravel()
+        return _gauss_on_edges(self.epsilon * (self.ray_cutoff / self.epsilon) ** (
+            np.arange(self.n_panels + 1) / self.n_panels))
 
     def arc_quadrature(self):
         """Gauss-Legendre nodes in angle on the upper half-arc [0, theta]."""
         x, wq = np.polynomial.legendre.leggauss(_ARC_COUNT)
         return 0.5 * self.theta * (x + 1.0), 0.5 * self.theta * wq
+
+
+def _gauss_on_edges(edges):
+    """Gauss-Legendre nodes and weights on every panel between consecutive
+    edges, flattened panel by panel."""
+    x, wq = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    wts = 0.5 * (hi - lo) * np.broadcast_to(wq, nodes.shape)
+    return nodes.ravel(), wts.ravel()
 
 
 def shared_contour(times, lambda1: float, w: WeightFunction,
@@ -286,63 +296,63 @@ def _mode_lambda(basis: SpectralBasis, n: int) -> float:
 def phi_n(n: int, r, basis: SpectralBasis, w: WeightFunction):
     """Spectral density Phi_n(r) of mode n on the positive half-line."""
     lam = _mode_lambda(basis, n)
-    return phi_values(lam, r, w)
-
-
-def phi_values(lam: float, r, w: WeightFunction):
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(r_arr <= 0.0):
         raise DomainError("Phi_n is defined for r > 0")
-    out = _phi_from_logr(lam, np.log(r_arr), w)
+    out = _phi_on_cut([lam], np.log(r_arr), w)[0]
     return out if np.ndim(r) else float(out[0])
 
 
-def _phi_from_logr(lam: float, logr: np.ndarray, w: WeightFunction,
-                   order: int = 64) -> np.ndarray:
-    """Phi evaluated from log r, so far tails never underflow the radius."""
+def _phi_on_cut(lambdas, logr, w: WeightFunction, order: int = 64) -> np.ndarray:
+    """Phi for every eigenvalue (rows) at every log r (columns), from one
+    evaluation of the cut value; log r keeps far tails from underflowing."""
     cut = w.power_moments(np.asarray(logr, dtype=float) + 1j * np.pi, order=order)
+    lam = np.asarray(lambdas, dtype=float)[:, None]
     return cut.imag / ((cut.real + lam) ** 2 + cut.imag ** 2)
 
 
-def eval_Gn_spectral(n: int, t: float, basis: SpectralBasis, w: WeightFunction,
-                     cfg: KernelConfig | None = None) -> float:
-    """G_n(t) through the real-axis density: (1/pi) int Phi_n e^(-rt) dr.
+def eval_spectral_block(times, lambdas, w: WeightFunction,
+                        cfg: KernelConfig | None = None) -> np.ndarray:
+    """G of shape (n_times, n_modes) through the real-axis density,
+    G_n(t) = (1/pi) int Phi_n(r) e^(-rt) dr.
 
-    Quadratured in u = log r on Gauss-Legendre panels; the window is chosen
-    so both tails sit below the kernel scale: the upper end where r t
-    exceeds 40, the lower end where r t is below 1e-8 and the crude tail
-    estimate r*Phi_n(r) falls under 1e-12/lambda_n^2 (scaled by sup|mu|).
+    One grid in u = log r, Gauss-Legendre panels of equal width, serves every
+    mode and time.  The window is chosen so both tails sit below the kernel
+    scale: the upper end where r t_min reaches 40; the lower end starts where
+    r t_max is 1e-8 and steps down by decades until the crude tail estimate
+    r Phi_n(r) is under 1e-12/lambda_n^2 (scaled by sup|mu|) for every mode.
     """
-    if t <= 0.0:
-        raise DomainError(f"time t = {t} must be positive")
     cfg = cfg or _DEFAULT_CONFIG
-    lam = _mode_lambda(basis, n)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
+    if np.any(times <= 0.0):
+        raise DomainError(f"time t = {times.min()} must be positive")
+    if np.any(lambdas <= 0.0):
+        raise DomainError("eigenvalues must be positive")
 
-    r_min = _SPECTRAL_LOWER_RT / t
-    floor = _SPECTRAL_TAIL_FLOOR * max(1.0, w.sup_norm) / lam ** 2
-    while r_min * phi_values(lam, r_min, w) > floor:
+    r_min = _SPECTRAL_LOWER_RT / times.max()
+    floor = _SPECTRAL_TAIL_FLOOR * max(1.0, w.sup_norm) / lambdas ** 2
+    while np.any(r_min * _phi_on_cut(lambdas, [math.log(r_min)], w,
+                                     cfg.moment_order)[:, 0] > floor):
         r_min /= 10.0
         if r_min < 1e-130:
             raise NumericError("spectral lower truncation certificate unmet")
     u_min = math.log(r_min)
-    u_max = math.log(_SPECTRAL_UPPER_RT / t)
+    u_max = math.log(_SPECTRAL_UPPER_RT / times.min())
     if u_max <= u_min:
         raise NumericError("empty spectral quadrature window")
 
-    u, wu = _panel_gauss(u_min, u_max, _SPECTRAL_PANEL_WIDTH)
-    vals = _phi_from_logr(lam, u, w, order=cfg.moment_order) \
-        * np.exp(u - np.exp(u) * t)
-    return float(vals @ wu / np.pi)
+    n_pan = max(1, math.ceil((u_max - u_min) / _SPECTRAL_PANEL_WIDTH))
+    u, wu = _gauss_on_edges(np.linspace(u_min, u_max, n_pan + 1))
+    phi = _phi_on_cut(lambdas, u, w, cfg.moment_order)
+    decay = np.exp(u - np.multiply.outer(times, np.exp(u))) * wu
+    return decay @ phi.T / np.pi
 
 
-def _panel_gauss(lo: float, hi: float, width: float, order: int = 16):
-    x, wq = np.polynomial.legendre.leggauss(order)
-    n_pan = max(1, int(math.ceil((hi - lo) / width)))
-    edges = np.linspace(lo, hi, n_pan + 1)
-    a, b = edges[:-1, None], edges[1:, None]
-    nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
-    wts = 0.5 * (b - a) * np.broadcast_to(wq, nodes.shape)
-    return nodes.ravel(), wts.ravel()
+def eval_Gn_spectral(n: int, t: float, basis: SpectralBasis, w: WeightFunction,
+                     cfg: KernelConfig | None = None) -> float:
+    """G_n(t) through the real-axis density, one entry of the spectral block."""
+    return float(eval_spectral_block([t], [_mode_lambda(basis, n)], w, cfg)[0, 0])
 
 
 def dEn_dt(n: int, t: float, basis: SpectralBasis, w: WeightFunction,
@@ -351,16 +361,6 @@ def dEn_dt(n: int, t: float, basis: SpectralBasis, w: WeightFunction,
     """Time derivative of E_n through the identity dE_n/dt = -lambda_n G_n."""
     lam = _mode_lambda(basis, n)
     return -lam * eval_Gn_contour(n, t, basis, w, spec=spec, cfg=cfg)
-
-
-def dEn_dt_finite_difference(n: int, t: float, basis: SpectralBasis,
-                             w: WeightFunction, step: float | None = None,
-                             cfg: KernelConfig | None = None) -> float:
-    """Central-difference route on E_n, for testing the identity only."""
-    h = 1e-4 * t if step is None else step
-    up = eval_En_contour(n, t + h, basis, w, cfg=cfg)
-    dn = eval_En_contour(n, t - h, basis, w, cfg=cfg)
-    return (up - dn) / (2.0 * h)
 
 
 # --- Mittag-Leffler reference ------------------------------------------------
@@ -452,48 +452,37 @@ def an_threshold(n: int, basis: SpectralBasis, w: WeightFunction) -> float:
     return a
 
 
-def check_g0c(n: int, basis: SpectralBasis, w: WeightFunction,
-              split: bool = True) -> float:
-    """The product lambda_n * int_0^inf Phi_n(r)/r dr.
+def tail_bound_products(modes, basis: SpectralBasis,
+                        w: WeightFunction) -> np.ndarray:
+    """The products lambda_n * int_0^inf Phi_n(r)/r dr for 1-based modes.
 
     Boundedness of this product across n is the testable content of the
     spectral-density tail bound; it requires the upper support cutoff
-    (alpha1 present).  The integral is taken in u = log r and split at the
-    threshold radius a_n, mirroring the two regimes of the density.
+    (alpha1 present).  The integrals are taken in u = log r on one grid for
+    all modes, over [-1000, max(log a_n, 0) + 300].  Its panels are built
+    from the top downwards with width max(1, |u|/4): unit width near the
+    threshold radii, geometric growth into the far tails where the integrand
+    is a slow power of u.  Every log a_n is an edge, so each mode's two
+    density regimes meet at a panel boundary.
     """
     if w.alpha1 is None:
         raise PreconditionError(
             "tail-bound check requires a weight with upper support cutoff alpha1")
-    lam = _mode_lambda(basis, n)
-    a_n = an_threshold(n, basis, w)
-    u_split = math.log(a_n)
-    u_min = -1000.0
-    u_max = max(u_split, 0.0) + 300.0
+    modes = np.atleast_1d(np.asarray(modes, dtype=int))
+    lams = np.array([_mode_lambda(basis, int(n)) for n in modes])
+    splits = np.log([an_threshold(int(n), basis, w) for n in modes])
+    lo = -1000.0
+    pts = [max(splits.max(), 0.0) + 300.0]
+    while pts[-1] > lo:
+        pts.append(pts[-1] - min(max(1.0, 0.25 * abs(pts[-1])), pts[-1] - lo))
+    pts[-1] = lo
+    u, wu = _gauss_on_edges(np.union1d(pts, splits))
+    return lams * (_phi_on_cut(lams, u, w) @ wu)
 
-    def integrate(lo, hi):
-        if hi <= lo:
-            return 0.0
-        # graded panels built from hi downwards: unit width near the split,
-        # geometric growth into the far tails where the integrand is a slow
-        # power of u
-        pts = [hi]
-        while pts[-1] > lo:
-            span = pts[-1] - lo
-            step = min(max(1.0, 0.25 * abs(pts[-1])), span)
-            pts.append(pts[-1] - step)
-        pts[-1] = lo
-        edges = np.array(pts[::-1])
-        x, wq = np.polynomial.legendre.leggauss(16)
-        a, b = edges[:-1, None], edges[1:, None]
-        nodes = (0.5 * (b - a) * x + 0.5 * (a + b)).ravel()
-        wts = (0.5 * (b - a) * np.broadcast_to(wq, (len(edges) - 1, 16))).ravel()
-        return float(_phi_from_logr(lam, nodes, w) @ wts)
 
-    if split:
-        total = integrate(u_min, u_split) + integrate(u_split, u_max)
-    else:
-        total = integrate(u_min, u_max)
-    return lam * total
+def check_g0c(n: int, basis: SpectralBasis, w: WeightFunction) -> float:
+    """The tail-bound product lambda_n * int_0^inf Phi_n(r)/r dr of mode n."""
+    return float(tail_bound_products([n], basis, w)[0])
 
 
 # --- sampled kernel tables -----------------------------------------------------
@@ -536,9 +525,8 @@ def build_kernel_table(basis: SpectralBasis, w: WeightFunction, times,
     G = np.empty_like(E)
     for j, t in enumerate(times):
         E[:, j], G[:, j] = eval_kernel_row(t, lams, w, cfg=cfg)
-        # the homogeneous kernel has no independent real-axis route here;
-        # tables tagged spectral carry the contour values for E
-        if method == "spectral":
-            G[:, j] = [eval_Gn_spectral(int(m), float(t), basis, w, cfg=cfg)
-                       for m in modes]
+    # the homogeneous kernel has no independent real-axis route here;
+    # tables tagged spectral carry the contour values for E
+    if method == "spectral":
+        G = eval_spectral_block(times, lams, w, cfg).T
     return KernelTable(modes=modes, times=times, E=E, G=G, method=method)

@@ -45,6 +45,10 @@ DEFAULT_QUAD_ORDER = 64
 # per-panel exponent range under this bound.
 _MAX_PANEL_EXPONENT = 150.0
 
+# evaluation points per exponential block, bounding the working set of a
+# symbol evaluation
+_POINT_CHUNK = 256
+
 _CERT_SAMPLES = 512
 _DENSE_SAMPLES = 2048
 
@@ -174,7 +178,11 @@ class WeightFunction:
         al, wt = self.panels(order=order, max_exponent=max_exp)
         if al.size == 0:
             return np.zeros(logs.shape, dtype=complex)
-        return np.exp(np.multiply.outer(logs, al + offset)) @ wt
+        out = np.empty(logs.shape, dtype=complex)
+        for lo in range(0, len(logs), _POINT_CHUNK):
+            terms = np.multiply.outer(logs[lo:lo + _POINT_CHUNK], al + offset)
+            out[lo:lo + _POINT_CHUNK] = np.exp(terms, out=terms) @ wt
+        return out
 
     def to_mapping(self) -> dict[str, str]:
         doc = {
@@ -291,36 +299,28 @@ def eval_mu(w: WeightFunction, alpha: float) -> float:
     return float(w._eval_many(np.array([alpha]))[0])
 
 
-def _checked_log(s: complex) -> complex:
-    s = complex(s)
-    if s == 0 or (s.imag == 0.0 and s.real <= 0.0):
-        raise DomainError(f"s = {s} lies on the branch cut (-inf, 0]")
-    if abs(np.angle(s)) > 3.1:
-        warnings.warn(f"evaluation near the branch cut: arg s = {np.angle(s):.4f}",
+def _checked_logs(s) -> np.ndarray:
+    """log s for points off the cut (-inf, 0], warning once if any lies near it."""
+    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    on_cut = (s.imag == 0.0) & (s.real <= 0.0)
+    if np.any(on_cut):
+        raise DomainError(
+            f"s = {complex(s[on_cut][0])} lies on the branch cut (-inf, 0]")
+    arg = np.abs(np.angle(s))
+    if np.any(arg > 3.1):
+        warnings.warn(f"evaluation near the branch cut: |arg s| = {arg.max():.4f}",
                       NearCutWarning, stacklevel=3)
-    return complex(np.log(s))
+    return np.log(s)
 
 
 def eval_w(w: WeightFunction, s: complex, order: int = DEFAULT_QUAD_ORDER) -> complex:
     """Laplace symbol w(s) = int_0^1 s^(alpha-1) mu(alpha) d(alpha)."""
-    return complex(w.power_moments(_checked_log(s), offset=-1.0, order=order)[0])
+    return complex(w.power_moments(_checked_logs(s), offset=-1.0, order=order)[0])
 
 
 def eval_sw(w: WeightFunction, s: complex, order: int = DEFAULT_QUAD_ORDER) -> complex:
     """s*w(s) = int_0^1 s^alpha mu(alpha) d(alpha), the resolvent symbol."""
-    return complex(w.power_moments(_checked_log(s), offset=0.0, order=order)[0])
-
-
-def sw_on_cut(w: WeightFunction, r, order: int = DEFAULT_QUAD_ORDER):
-    """Upper-side limit of s*w(s) on the cut: int r^alpha e^(i pi alpha) mu d(alpha).
-
-    Real part and imaginary part are the cosine/sine moments that enter the
-    spectral density of the relaxation kernels.
-    """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r <= 0.0):
-        raise DomainError("cut-limit evaluation needs r > 0")
-    return w.power_moments(np.log(r) + 1j * np.pi, order=order)
+    return complex(w.power_moments(_checked_logs(s), offset=0.0, order=order)[0])
 
 
 def zeta_env(r: float) -> float:
@@ -409,48 +409,44 @@ def check_symbol_bounds(w: WeightFunction, samples) -> dict[str, dict]:
       power_floor:          |s w(s) + lam| >= C min(|s|^{alpha0-delta}, |s|^{alpha0});
       symbol_envelope:      |s w(s)| <= sup|mu| * zeta(|s|).
 
-    Returns, per inequality, the worst (signed) slack = satisfied-side minus
-    required-side, the sample achieving it, and the violation count; any
-    negative slack is a violation.
+    All samples go through one symbol evaluation.  Returns, per inequality,
+    the worst (signed) slack = satisfied-side minus required-side, the first
+    sample achieving it, and the violation count; any negative slack is a
+    violation.
     """
+    samples = list(samples)
+    s = np.array([complex(x[0]) for x in samples])
+    lam = np.array([float(x[1]) for x in samples])
+    nu = np.array([float(x[2]) if len(x) > 2 else 0.5 for x in samples])
+    if np.any(lam <= 0.0):
+        raise DomainError(f"lambda must be positive, got {lam[lam <= 0.0][0]}")
+    sw = w.power_moments(_checked_logs(s))
+    beta, mod = np.abs(np.angle(s)), np.abs(s)
+    lhs = np.abs(sw + lam)
+    left = beta > np.pi / 2.0
+
     consts = symbol_bound_constants(w)
-    report = {
-        name: {"min_slack": np.inf, "argmin": None, "violations": 0, "count": 0}
-        for name in ("resolvent_floor", "interpolation_bound", "power_floor",
-                     "symbol_envelope")
+    c_pow = np.where(left, consts["power_floor_left"], consts["power_floor_right"])
+    envelope = w.sup_norm * np.array([zeta_env(m) for m in mod])
+    rows = np.arange(len(samples))
+    checks = {
+        "resolvent_floor":
+            (rows, lhs - np.where(left, np.sin(beta) / 2.0, 1.0) * lam),
+        "interpolation_bound":
+            (rows[left], 2.0 / np.sin(beta[left]) - lam[left] ** nu[left]
+             * np.abs(sw[left]) ** (1.0 - nu[left]) / lhs[left]),
+        "power_floor":
+            (rows, lhs - c_pow * np.minimum(mod ** (w.alpha0 - w.delta),
+                                            mod ** w.alpha0)),
+        "symbol_envelope": (rows, envelope - np.abs(sw)),
     }
-
-    def record(name, slack, sample):
-        entry = report[name]
-        entry["count"] += 1
-        if slack < entry["min_slack"]:
-            entry["min_slack"] = slack
-            entry["argmin"] = sample
-        if slack < 0.0:
-            entry["violations"] += 1
-
-    for sample in samples:
-        s, lam = sample[0], float(sample[1])
-        nu = float(sample[2]) if len(sample) > 2 else 0.5
-        if lam <= 0.0:
-            raise DomainError(f"lambda must be positive, got {lam}")
-        sw = eval_sw(w, s)
-        beta = abs(np.angle(complex(s)))
-        mod = abs(complex(s))
-        lhs = abs(sw + lam)
-
-        c_beta = 1.0 if beta <= np.pi / 2.0 else np.sin(beta) / 2.0
-        record("resolvent_floor", lhs - c_beta * lam, sample)
-
-        if beta > np.pi / 2.0:
-            ratio = lam ** nu * abs(sw) ** (1.0 - nu) / lhs
-            record("interpolation_bound", 2.0 / np.sin(beta) - ratio, sample)
-
-        c_pow = (consts["power_floor_right"] if beta <= np.pi / 2.0
-                 else consts["power_floor_left"])
-        floor = c_pow * min(mod ** (w.alpha0 - w.delta), mod ** w.alpha0)
-        record("power_floor", lhs - floor, sample)
-
-        record("symbol_envelope", w.sup_norm * zeta_env(mod) - abs(sw), sample)
-
+    report = {}
+    for name, (idx, slack) in checks.items():
+        i = int(np.argmin(slack)) if idx.size else None
+        report[name] = {
+            "min_slack": np.inf if i is None else float(slack[i]),
+            "argmin": None if i is None else samples[idx[i]],
+            "violations": int(np.count_nonzero(slack < 0.0)),
+            "count": int(idx.size),
+        }
     return report

@@ -10,6 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import dEn_dt_finite_difference
 from dodiff import make_box_weight, make_constant_weight, make_tapered_weight
 from dodiff.kernel import (
     ContourSpec,
@@ -17,7 +18,6 @@ from dodiff.kernel import (
     check_g0c,
     choose_contour,
     dEn_dt,
-    dEn_dt_finite_difference,
     eval_En_contour,
     eval_Gn_contour,
     eval_Gn_spectral,

@@ -1,7 +1,10 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
 
+from conftest import dEn_dt_finite_difference
 from dodiff import make_box_weight, make_constant_weight, make_tapered_weight
 from dodiff.errors import DomainError, NumericError, PreconditionError
 from dodiff.kernel import (
@@ -13,19 +16,29 @@ from dodiff.kernel import (
     check_g0c,
     choose_contour,
     dEn_dt,
-    dEn_dt_finite_difference,
     eval_En_contour,
     eval_Gn_contour,
     eval_Gn_spectral,
     eval_kernel_block,
     eval_kernel_row,
     eval_response_block,
+    eval_spectral_block,
     mittag_leffler,
     phi_n,
     shared_contour,
+    tail_bound_products,
 )
 from dodiff.spectral import build_exact_dirichlet
 from dodiff.weight import zeta_env, zeta_inv
+
+
+def gauss_panels(edges, order=16):
+    """Gauss-Legendre nodes and weights on the panels between edges."""
+    x, wq = np.polynomial.legendre.leggauss(order)
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1, None], edges[1:, None]
+    return ((0.5 * (b - a) * x + 0.5 * (a + b)).ravel(),
+            (0.5 * (b - a) * wq).ravel())
 
 
 def ml_reference(alpha, beta, z, terms=200, dps=80):
@@ -193,6 +206,40 @@ class TestSpectralDensity:
             for t in (0.05, 1.0, 5.0):
                 assert eval_Gn_spectral(2, t, basis64, w) > 0.0
 
+    @staticmethod
+    def refined_block(times, lams, w):
+        """G per (time, mode) on panels a quarter as wide as the block's, the
+        lower cut two decades below the block's own."""
+        def phi(u):
+            cut = w.power_moments(np.asarray(u) + 1j * np.pi)
+            return cut.imag / ((cut.real + lams[:, None]) ** 2 + cut.imag ** 2)
+
+        floor = 1e-12 * max(1.0, w.sup_norm) / lams ** 2
+        r_min = 1e-8 / max(times)
+        while np.any(r_min * phi([math.log(r_min)])[:, 0] > floor):
+            r_min /= 10.0
+        lo, hi = math.log(r_min / 100.0), math.log(40.0 / min(times))
+        u, wu = gauss_panels(np.linspace(lo, hi, math.ceil((hi - lo) / 0.1875) + 1))
+        dens = phi(u)
+        return np.array([[np.sum(dens[n] * np.exp(u - np.exp(u) * t) * wu) / np.pi
+                          for n in range(len(lams))] for t in times])
+
+    def test_block_against_refined_grid(self, const_weight, box_half, tapered):
+        times = [1e-6, 1e-2, 1.0, 1e4]
+        for n_modes in (16, 256):
+            lams = build_exact_dirichlet(np.pi, n_modes).eigenvalues
+            for w in (const_weight, box_half, tapered):
+                got = eval_spectral_block(times, lams, w)
+                ref = self.refined_block(times, lams, w)
+                assert got.shape == (len(times), n_modes)
+                assert np.all(np.abs(got - ref) <= 1e-8 * ref)
+
+    def test_block_domain(self, const_weight):
+        with pytest.raises(DomainError, match="t = -1"):
+            eval_spectral_block([1.0, -1.0], [1.0], const_weight)
+        with pytest.raises(DomainError):
+            eval_spectral_block([1.0], [0.0], const_weight)
+
     def test_spectral_constant_order_limit(self, basis64, box_half):
         got = eval_Gn_spectral(1, 1.0, basis64, box_half)
         assert abs(got - ml_reference(0.5, 0.5, -1.0)) <= 2e-2
@@ -298,10 +345,34 @@ class TestTailBound:
         assert all(p > 0.0 for p in prods)
         assert max(prods) / min(prods) < 10.0
 
-    def test_split_consistency(self, basis64, tapered):
-        a = check_g0c(8, basis64, tapered, split=True)
-        b = check_g0c(8, basis64, tapered, split=False)
-        assert abs(a - b) <= 1e-8 * abs(a)
+    @staticmethod
+    def refined_products(modes, basis, w):
+        """lambda_n int Phi_n du on one grid four times finer than the
+        family's, with no threshold edges."""
+        lams = basis.eigenvalues[np.asarray(modes) - 1]
+        pts = [math.log(an_threshold(max(modes), basis, w)) + 300.0]
+        while pts[-1] > -1000.0:
+            pts.append(max(pts[-1] - max(0.25, abs(pts[-1]) / 16.0), -1000.0))
+        u, wu = gauss_panels(pts[::-1])
+        cut = w.power_moments(u + 1j * np.pi)
+        phi = cut.imag / ((cut.real + lams[:, None]) ** 2 + cut.imag ** 2)
+        return lams * (phi @ wu)
+
+    def test_family_against_refined_grid(self, basis64, tapered):
+        wide = build_exact_dirichlet(np.pi, 1024, grid_points=1026)
+        for basis, modes in ((basis64, list(range(1, 65))),
+                             (wide, [1, 8, 64, 512, 1024])):
+            got = tail_bound_products(modes, basis, tapered)
+            ref = self.refined_products(modes, basis, tapered)
+            assert np.all(np.abs(got - ref) <= 1e-8 * ref)
+
+    def test_product_independent_of_grid_mates(self, basis64, tapered):
+        # a mode's product must not depend on which other modes' thresholds
+        # share its grid
+        family = tail_bound_products(range(1, 65), basis64, tapered)
+        for n in (1, 8, 64):
+            assert check_g0c(n, basis64, tapered) == pytest.approx(
+                family[n - 1], rel=1e-8)
 
 
 class TestKernelTable:

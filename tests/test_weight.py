@@ -203,6 +203,51 @@ class TestSymbolBounds:
         with pytest.raises(DomainError):
             check_symbol_bounds(const_weight, [(2.0, -1.0)])
 
+    def test_on_cut_sample(self, const_weight):
+        with pytest.raises(DomainError, match="branch cut"):
+            check_symbol_bounds(const_weight, [(2.0, 1.0), (-3.0, 1.0)])
+
+    def test_near_cut_warned_once(self, const_weight):
+        samples = [(np.exp(1j * b), 1.0) for b in (3.11, 3.12, -3.13)]
+        with pytest.warns(wt.NearCutWarning) as record:
+            check_symbol_bounds(const_weight, samples)
+        assert len(record) == 1
+
+    @staticmethod
+    def per_sample_reference(w, samples):
+        """The inequalities one sample at a time through scalar eval_sw."""
+        consts = wt.symbol_bound_constants(w)
+        out = {name: [] for name in ("resolvent_floor", "interpolation_bound",
+                                     "power_floor", "symbol_envelope")}
+        for k, (s, lam, nu) in enumerate(samples):
+            sw = eval_sw(w, s)
+            beta, mod = abs(np.angle(s)), abs(s)
+            lhs = abs(sw + lam)
+            left = beta > np.pi / 2.0
+            out["resolvent_floor"].append(
+                (lhs - (np.sin(beta) / 2.0 if left else 1.0) * lam, k))
+            if left:
+                out["interpolation_bound"].append(
+                    (2.0 / np.sin(beta) - lam ** nu * abs(sw) ** (1.0 - nu) / lhs, k))
+            c_pow = consts["power_floor_left" if left else "power_floor_right"]
+            out["power_floor"].append(
+                (lhs - c_pow * min(mod ** (w.alpha0 - w.delta), mod ** w.alpha0), k))
+            out["symbol_envelope"].append((w.sup_norm * zeta_env(mod) - abs(sw), k))
+        return out
+
+    def test_sweep_matches_per_sample_loop(self, const_weight, box_half):
+        samples = self.random_samples(200, seed=7)
+        for w in (const_weight, box_half):
+            rep = check_symbol_bounds(w, samples)
+            for name, rows in self.per_sample_reference(w, samples).items():
+                slacks = np.array([v for v, _ in rows])
+                k = int(np.argmin(slacks))
+                entry = rep[name]
+                assert entry["count"] == len(rows)
+                assert entry["violations"] == int(np.sum(slacks < 0.0))
+                assert entry["argmin"] is samples[rows[k][1]]
+                assert entry["min_slack"] == pytest.approx(slacks[k], rel=1e-12)
+
 
 class TestBoxWeight:
     def test_normalization(self):
