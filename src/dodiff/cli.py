@@ -280,13 +280,13 @@ def _cmd_kernel(run: RunConfig, bundle: ProblemBundle, prov: list[str]) -> int:
     cfg = _kernel_config(bundle)
     modes = [n for n in (1, 2, 4, 8, 16, 32, 64) if n <= bundle.basis.n_modes]
     contour = kn.build_kernel_table(bundle.basis, bundle.weight, bundle.times,
-                                    modes=modes, method="contour", cfg=cfg)
-    spectral = kn.build_kernel_table(bundle.basis, bundle.weight, bundle.times,
-                                     modes=modes, method="spectral", cfg=cfg)
+                                    modes=modes, cfg=cfg)
+    lams = bundle.basis.eigenvalues[np.asarray(modes) - 1]
+    spectral = kn.eval_spectral_block(bundle.times, lams, bundle.weight, cfg)
     rows = []
     for i, n in enumerate(modes):
         for j, t in enumerate(bundle.times):
-            gc, gs = contour.G[i, j], spectral.G[i, j]
+            gc, gs = contour.G[i, j], spectral[j, i]
             rows.append([n, float(t), contour.E[i, j], gc, gs,
                          abs(gc - gs) / abs(gc)])
     textio.write_csv(out / "kernels.csv",
@@ -303,11 +303,9 @@ def _solution_csvs(out: Path, field, kappas, prov: list[str], stem: str) -> None
             rows.append([float(t), float(xi), float(ui)])
     textio.write_csv(out / f"{stem}_field.csv", ["t", "x", "u"], rows,
                      comments=prov)
-    norm_rows = []
-    for j, t in enumerate(field.times):
-        row = [float(t), float(field.l2_norms()[j])]
-        row += [float(field.frac_norms(k)[j]) for k in kappas]
-        norm_rows.append(row)
+    norms = [field.l2_norms()] + [field.frac_norms(k) for k in kappas]
+    norm_rows = [[float(t)] + [float(col[j]) for col in norms]
+                 for j, t in enumerate(field.times)]
     textio.write_csv(out / f"{stem}_norms.csv",
                      ["t", "l2"] + [f"graph_{k}" for k in kappas],
                      norm_rows, comments=prov)

@@ -489,13 +489,12 @@ def check_g0c(n: int, basis: SpectralBasis, w: WeightFunction) -> float:
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Sampled kernels per mode and time; method is ``contour`` or ``spectral``."""
+    """Contour kernels (E_n, G_n) sampled per mode (rows) and time (columns)."""
 
     modes: np.ndarray
     times: np.ndarray
     E: np.ndarray
     G: np.ndarray
-    method: str
 
     def __post_init__(self):
         object.__setattr__(self, "modes", np.asarray(self.modes, dtype=int))
@@ -512,21 +511,14 @@ class KernelTable:
 
 
 def build_kernel_table(basis: SpectralBasis, w: WeightFunction, times,
-                       modes=None, method: str = "contour",
-                       cfg: KernelConfig | None = None) -> KernelTable:
+                       modes=None, cfg: KernelConfig | None = None) -> KernelTable:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if modes is None:
         modes = np.arange(1, basis.n_modes + 1)
     modes = np.atleast_1d(np.asarray(modes, dtype=int))
     lams = np.array([_mode_lambda(basis, int(m)) for m in modes])
-    if method not in ("contour", "spectral"):
-        raise DomainError(f"unknown kernel method {method!r}")
     E = np.empty((len(modes), len(times)))
     G = np.empty_like(E)
     for j, t in enumerate(times):
         E[:, j], G[:, j] = eval_kernel_row(t, lams, w, cfg=cfg)
-    # the homogeneous kernel has no independent real-axis route here;
-    # tables tagged spectral carry the contour values for E
-    if method == "spectral":
-        G = eval_spectral_block(times, lams, w, cfg).T
-    return KernelTable(modes=modes, times=times, E=E, G=G, method=method)
+    return KernelTable(modes=modes, times=times, E=E, G=G)

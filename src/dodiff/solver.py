@@ -13,8 +13,11 @@ G_n is near the origin or large lambda_n is.  Sources enter as callables
 returning mode coefficients; projection of a spatial source is the caller's
 concern, which keeps this module purely spectral.
 
-Per-time assembly is independent and parallelizable; solution fields are
-written once and immutable afterwards.
+The source response of a whole time grid is one (times x modes) array.
+Panels on which the source does not change contribute exactly zero and are
+dropped, and consecutive output times share one (K_1, K_2) block, so a
+constant source costs one K_1 row per output time (see ``duhamel``).
+Solution fields are written once and immutable afterwards.
 """
 
 from __future__ import annotations
@@ -134,31 +137,67 @@ def duhamel_mesh(t: float, n_nodes: int = DUHAMEL_NODES):
     return edges, np.diff(edges)
 
 
-def duhamel(problem: ProblemSpec, t: float, n_nodes: int = DUHAMEL_NODES,
+def duhamel(problem: ProblemSpec, times, n_nodes: int = DUHAMEL_NODES,
             cfg: KernelConfig | None = None) -> np.ndarray:
-    """Source response int_0^t G_n(sigma) f_n(t - sigma) d(sigma) per mode.
+    """Source response int_0^t G_n(sigma) f_n(t - sigma) d(sigma), shape
+    (n_times, n_modes): one row per output time t, one column per mode.
 
-    With f linear on each panel of ``duhamel_mesh``, integration by parts
+    With f linear on each panel of ``duhamel_mesh(t)``, integration by parts
     gives the exact value
 
         K_1(t) f(0) + sum_j (K_2(sigma_(j+1)) - K_2(sigma_j)) / h_j
                             * (f(t - sigma_j) - f(t - sigma_(j+1))),
 
     so a constant source returns K_1(t) f to rounding for any panel count.
+    A panel whose source difference is 0 in every mode adds exactly 0 and is
+    dropped, so a time needs K_1 at t and K_2 at the edges of its live panels
+    only (K_2(0) = 0): t alone for a constant source, every nonzero edge for
+    a varying one.  Consecutive times share one ``eval_response_block`` call
+    while their sigma values number at most P + 1, P = ``n_nodes``: up to
+    P + 1 times per call for a constant source, one time per call for a
+    source that varies on every panel.
     """
-    _check_time(problem, t)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    for t in times:
+        _check_time(problem, t)
+    out = np.zeros((len(times), problem.basis.n_modes))
     if problem.source is None:
-        return np.zeros(problem.basis.n_modes)
-    sigma, h = duhamel_mesh(t, n_nodes=n_nodes)
-    K1, K2 = eval_response_block(sigma[1:], problem.basis.eigenvalues,
+        return out
+    group, sigma = [], []
+    for row, t in enumerate(times):
+        edges, h = duhamel_mesh(float(t), n_nodes=n_nodes)
+        f = np.array([np.asarray(problem.source(t - s), dtype=float) for s in edges])
+        if not np.all(np.isfinite(f)):
+            raise NumericError("source evaluation produced non-finite values")
+        df = f[:-1] - f[1:]
+        live = np.flatnonzero(np.any(df != 0.0, axis=1))
+        need = np.union1d(np.concatenate([live, live + 1]), [n_nodes])
+        need = need[need > 0]
+        if group and len(sigma) + len(need) > n_nodes + 1:
+            _response_rows(problem, sigma, group, out, cfg)
+            group, sigma = [], []
+        # position of each edge in the block's sigma; edge 0 maps to the
+        # zero row appended for K_2(0).  Only f(0) and the live differences
+        # are kept, copied out of f so that f itself is freed.
+        at = np.full(n_nodes + 1, -1)
+        at[need] = len(sigma) + np.arange(len(need))
+        sigma.extend(edges[need])
+        group.append((row, at[n_nodes], f[-1].copy(), at[live], at[live + 1],
+                      h[live], df[live]))
+    _response_rows(problem, sigma, group, out, cfg)
+    return out
+
+
+def _response_rows(problem: ProblemSpec, sigma, group, out: np.ndarray,
+                   cfg: KernelConfig | None):
+    """Fill the rows of one group of output times from one (K_1, K_2) block."""
+    K1, K2 = eval_response_block(sigma, problem.basis.eigenvalues,
                                  problem.weight, cfg=cfg)
-    f = np.array([np.asarray(problem.source(t - s), dtype=float) for s in sigma])
-    if not np.all(np.isfinite(f)):
-        raise NumericError("source evaluation produced non-finite values")
-    # mean of K_1 over each panel, in place (K_2 vanishes at sigma = 0)
-    K2[1:] -= K2[:-1]
-    K2 /= h[:, None]
-    return K1[-1] * f[-1] + np.einsum("jn,jn->n", K2, f[:-1] - f[1:])
+    K2 = np.vstack([K2, np.zeros(K2.shape[1])])
+    for row, at_t, f0, lo, hi, h, df in group:
+        # mean of K_1 over each live panel times its source difference
+        out[row] = K1[at_t] * f0 + np.einsum("jn,jn->n",
+                                             (K2[hi] - K2[lo]) / h[:, None], df)
 
 
 def solve(problem: ProblemSpec, times, n_nodes: int = DUHAMEL_NODES,
@@ -171,8 +210,7 @@ def solve(problem: ProblemSpec, times, n_nodes: int = DUHAMEL_NODES,
                              cfg=cfg)
     coeffs = E * problem.initial_coeffs[None, :]
     if problem.source is not None:
-        for j, t in enumerate(times):
-            coeffs[j] += duhamel(problem, float(t), n_nodes=n_nodes, cfg=cfg)
+        coeffs += duhamel(problem, times, n_nodes=n_nodes, cfg=cfg)
     return SolutionField(times=times, coeffs=coeffs, basis=problem.basis)
 
 

@@ -166,11 +166,9 @@ def run_h2_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
 
     # response factors R_n(t) = int_0^t G_n: for constant-in-time sources the
     # mode response is R_n(t) g_n, verified against a full solver run below
-    R = np.empty((len(ts), basis.n_modes))
     ones = np.ones(basis.n_modes)
     probe = sv.ProblemSpec(w, basis, np.zeros(basis.n_modes), lambda t: ones, T)
-    for j, t in enumerate(ts):
-        R[j] = sv.duhamel(probe, float(t))
+    R = sv.duhamel(probe, ts)
 
     g1 = np.zeros(basis.n_modes)
     g1[0] = 1.0

@@ -234,6 +234,13 @@ class TestSpectralDensity:
                 assert got.shape == (len(times), n_modes)
                 assert np.all(np.abs(got - ref) <= 1e-8 * ref)
 
+    def test_block_matches_entries(self, basis64, const_weight):
+        # the kernel CLI takes the spectral column of its table from one block
+        lams = basis64.eigenvalues[[0, 2]]
+        got = eval_spectral_block([0.5], lams, const_weight)
+        assert got[0, 1] == pytest.approx(
+            eval_Gn_spectral(3, 0.5, basis64, const_weight), rel=1e-12)
+
     def test_block_domain(self, const_weight):
         with pytest.raises(DomainError, match="t = -1"):
             eval_spectral_block([1.0, -1.0], [1.0], const_weight)
@@ -379,32 +386,15 @@ class TestKernelTable:
     def test_contour_table(self, basis64, const_weight):
         times = [0.1, 1.0]
         table = build_kernel_table(basis64, const_weight, times, modes=[1, 2, 4])
-        assert table.method == "contour"
         assert table.E.shape == (3, 2) and np.all(table.G > 0.0)
         assert table.E[0, 1] == pytest.approx(
             eval_En_contour(1, 1.0, basis64, const_weight), rel=1e-12)
 
-    def test_spectral_table(self, basis64, const_weight):
-        table = build_kernel_table(basis64, const_weight, [0.5], modes=[1, 3],
-                                   method="spectral")
-        assert table.method == "spectral"
-        assert table.G[1, 0] == pytest.approx(
-            eval_Gn_spectral(3, 0.5, basis64, const_weight), rel=1e-12)
-        # E has no real-axis route: the spectral table carries contour values
-        contour = build_kernel_table(basis64, const_weight, [0.5], modes=[1, 3])
-        assert np.array_equal(table.E, contour.E)
-
     def test_invariants(self):
         with pytest.raises(PreconditionError):
-            KernelTable(modes=[1], times=[0.5], E=[[1.0]], G=[[-1.0]],
-                        method="contour")
+            KernelTable(modes=[1], times=[0.5], E=[[1.0]], G=[[-1.0]])
         with pytest.raises(PreconditionError):
-            KernelTable(modes=[1, 2], times=[0.5], E=[[1.0]], G=[[1.0]],
-                        method="contour")
-
-    def test_unknown_method(self, basis64, const_weight):
-        with pytest.raises(DomainError):
-            build_kernel_table(basis64, const_weight, [1.0], method="talbot")
+            KernelTable(modes=[1, 2], times=[0.5], E=[[1.0]], G=[[1.0]])
 
 
 class TestDecayEnvelope:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dodiff import kernel, solver
 from dodiff import make_box_weight, make_constant_weight
 from dodiff.errors import DomainError, NumericError, PreconditionError
 from dodiff.kernel import (
@@ -10,9 +11,11 @@ from dodiff.kernel import (
     mittag_leffler,
 )
 from dodiff.solver import (
+    DUHAMEL_NODES,
     ProblemSpec,
     SolutionField,
     duhamel,
+    duhamel_mesh,
     estimate_decay_exponent,
     propagate_homogeneous,
     sobolev_norm_path,
@@ -30,6 +33,18 @@ def unit_mode(n_modes, n=1):
 @pytest.fixture(scope="module")
 def basis16():
     return build_exact_dirichlet(np.pi, 16)
+
+
+def narrow_bump(n_modes, width=1e-4):
+    """Unit-mass smooth bump in mode 1 centred at tau = 0.99: the response
+    at t = 1 approximates G_1(0.01)."""
+    def source(tau):
+        arg = (tau - 0.99) / (width / 2.0)
+        out = np.zeros(n_modes)
+        if abs(arg) < 1.0:
+            out[0] = np.cos(np.pi * arg / 2.0) ** 2 * (2.0 / width)
+        return out
+    return source
 
 
 def homogeneous_problem(w, basis, c0=None, horizon=2.0, gamma=None):
@@ -68,24 +83,16 @@ class TestDuhamel:
     def test_zero_source(self, basis16, const_weight):
         prob = ProblemSpec(weight=const_weight, basis=basis16,
                            initial_coeffs=unit_mode(16), source=None, horizon=2.0)
-        assert np.all(duhamel(prob, 1.0) == 0.0)
+        assert np.all(duhamel(prob, [1.0])[0] == 0.0)
 
     def test_narrow_bump_recovers_kernel(self, basis16, box_half):
-        # unit-mass smooth bump of width 1e-4 placed where the graded mesh
-        # is fine; the response approximates the kernel at the bump offset
-        sigma0, width = 0.01, 1e-4
-
-        def bump(tau):
-            arg = (tau - (1.0 - sigma0)) / (width / 2.0)
-            out = np.zeros(16)
-            if abs(arg) < 1.0:
-                out[0] = np.cos(np.pi * arg / 2.0) ** 2 * (2.0 / width)
-            return out
-
+        # the bump sits where the graded mesh is fine; the response
+        # approximates the kernel at the bump offset
         prob = ProblemSpec(weight=box_half, basis=basis16,
-                           initial_coeffs=np.zeros(16), source=bump, horizon=2.0)
-        got = duhamel(prob, 1.0, n_nodes=32768)
-        ref = eval_Gn_contour(1, sigma0, basis16, box_half)
+                           initial_coeffs=np.zeros(16), source=narrow_bump(16),
+                           horizon=2.0)
+        got = duhamel(prob, [1.0], n_nodes=32768)[0]
+        ref = eval_Gn_contour(1, 0.01, basis16, box_half)
         assert abs(got[0] - ref) <= 1e-3 * abs(ref)
         assert np.max(np.abs(got[1:])) <= 1e-12 * abs(ref)
 
@@ -95,7 +102,7 @@ class TestDuhamel:
         prob = ProblemSpec(weight=box_half, basis=basis16,
                            initial_coeffs=np.zeros(16),
                            source=lambda t: unit_mode(16), horizon=2.0)
-        got = duhamel(prob, 1.0)
+        got = duhamel(prob, [1.0])[0]
         ref = mittag_leffler(0.5, 1.5, -1.0)
         assert abs(got[0] - ref) <= 3e-2
 
@@ -103,9 +110,9 @@ class TestDuhamel:
         prob = ProblemSpec(weight=const_weight, basis=basis16,
                            initial_coeffs=np.zeros(16),
                            source=lambda t: np.full(16, np.cos(t)), horizon=2.0)
-        a = duhamel(prob, 1.5, n_nodes=256)
-        b = duhamel(prob, 1.5, n_nodes=1024)
-        c = duhamel(prob, 1.5, n_nodes=4096)
+        a = duhamel(prob, [1.5], n_nodes=256)[0]
+        b = duhamel(prob, [1.5], n_nodes=1024)[0]
+        c = duhamel(prob, [1.5], n_nodes=4096)[0]
         scale = np.max(np.abs(c))
         assert np.max(np.abs(a - c)) <= 1e-5 * scale
         # graded-mesh error falls at second order in the panel count
@@ -125,15 +132,15 @@ class TestDuhamel:
         for t in (1e-3, 1.0, 100.0):
             E, _ = eval_kernel_block([t], lam, w)
             exact = (1.0 - E[0]) / lam
-            rel = np.abs(duhamel(prob, t) - exact) / exact
+            rel = np.abs(duhamel(prob, [t])[0] - exact) / exact
             assert np.max(rel) <= 1e-8, f"t = {t}, mode {rel.argmax() + 1}"
 
     def test_constant_source_panel_count_free(self, basis_pi, tapered):
         # product integration is exact for a constant source at any panel count
         g = (-1.0) ** np.arange(32) / np.arange(1.0, 33.0)
         prob = ProblemSpec(tapered, basis_pi, np.zeros(32), lambda t: g, 2.0)
-        coarse = duhamel(prob, 1.0, n_nodes=16)
-        fine = duhamel(prob, 1.0, n_nodes=4096)
+        coarse = duhamel(prob, [1.0], n_nodes=16)[0]
+        fine = duhamel(prob, [1.0], n_nodes=4096)[0]
         assert np.max(np.abs(coarse - fine) / np.abs(fine)) <= 1e-12
 
     def test_linear_source_gives_ramp_response(self, basis_pi, box_half):
@@ -144,8 +151,107 @@ class TestDuhamel:
         for t in (1e-3, 1.0):
             _, K2 = eval_response_block([t], basis_pi.eigenvalues, box_half)
             for panels in (16, 4096):
-                got = duhamel(prob, t, n_nodes=panels)
+                got = duhamel(prob, [t], n_nodes=panels)[0]
                 assert np.max(np.abs(got / (K2[0] * g) - 1.0)) <= 1e-9
+
+
+class TestResponseBlock:
+    """``duhamel`` over many output times: dead panels are dropped and
+    consecutive times share one (K_1, K_2) block."""
+
+    TIMES = np.sort(np.r_[np.logspace(-4, 2, 7), 0.995, 1.0])
+
+    @staticmethod
+    def sources(n_modes):
+        g = (-1.0) ** np.arange(n_modes) / np.arange(1.0, n_modes + 1.0)
+        return {"constant": lambda t: g, "linear": lambda t: t * g,
+                "cos": lambda t: np.cos(t) * g, "bump": narrow_bump(n_modes)}
+
+    @staticmethod
+    def hold_contour(monkeypatch, sigma_min, sigma_max, lambda1, w):
+        """Evaluate every response block on one contour admissible for all
+        sigma in [sigma_min, sigma_max], so a K value does not depend on
+        which other sigma share its block."""
+        spec = kernel.shared_contour([sigma_min, sigma_max], lambda1, w)
+
+        def fixed(times, lambdas, w, cfg=None):
+            return kernel._contour_block(times, lambdas, w, cfg, spec, response=True)
+
+        monkeypatch.setattr(solver, "eval_response_block", fixed)
+
+    @staticmethod
+    def unpruned(problem, t, n_nodes):
+        """The product rule over every panel of the mesh, dead or not."""
+        sigma, h = duhamel_mesh(t, n_nodes)
+        K1, K2 = solver.eval_response_block(sigma[1:], problem.basis.eigenvalues,
+                                            problem.weight)
+        f = np.array([problem.source(t - s) for s in sigma])
+        dK2 = np.diff(K2, axis=0, prepend=0.0) / h[:, None]
+        return K1[-1] * f[-1] + np.einsum("jn,jn->n", dK2, f[:-1] - f[1:])
+
+    @pytest.mark.parametrize("source", ["constant", "linear", "cos", "bump"])
+    def test_rows_match_single_time_calls(self, source, basis16, box_half,
+                                          monkeypatch):
+        # a row must not depend on the times grouped with it; the contour is
+        # held fixed because K_2 carries absolute contour error, which a
+        # change of contour turns into ~1e-8 relative on the bump's narrow
+        # panels
+        n_nodes = 4096 if source == "bump" else 256
+        self.hold_contour(monkeypatch, self.TIMES[0] / n_nodes ** 2,
+                          self.TIMES[-1], basis16.eigenvalues[0], box_half)
+        prob = ProblemSpec(box_half, basis16, np.zeros(16),
+                           self.sources(16)[source], 100.0)
+        rows = duhamel(prob, self.TIMES, n_nodes=n_nodes)
+        assert rows.shape == (len(self.TIMES), 16)
+        if source == "bump":
+            assert np.count_nonzero(rows[:, 0]) >= 2
+        for j, t in enumerate(self.TIMES):
+            single = duhamel(prob, [t], n_nodes=n_nodes)[0]
+            assert np.all(np.abs(rows[j] - single) <= 1e-12 * np.abs(single)), t
+
+    @pytest.mark.parametrize("source", ["constant", "linear", "cos"])
+    def test_rows_match_on_default_contours(self, source, basis16, box_half):
+        # each block on its own contour, as in a solve: grouped
+        # constant-source times share a contour their single-time calls do
+        # not, which K_1, all a constant source needs, does not feel; the
+        # varying sources get one block per time either way
+        prob = ProblemSpec(box_half, basis16, np.zeros(16),
+                           self.sources(16)[source], 100.0)
+        rows = duhamel(prob, self.TIMES)
+        for j, t in enumerate(self.TIMES):
+            single = duhamel(prob, [t])[0]
+            assert np.all(np.abs(rows[j] - single) <= 1e-12 * np.abs(single)), t
+
+    @pytest.mark.parametrize("t", [0.995, 1.0, 1.02])
+    def test_dead_panels_add_nothing(self, t, basis16, box_half, monkeypatch):
+        n_nodes = 4096
+        self.hold_contour(monkeypatch, t / n_nodes ** 2, t,
+                          basis16.eigenvalues[0], box_half)
+        prob = ProblemSpec(box_half, basis16, np.zeros(16), narrow_bump(16), 2.0)
+        got = duhamel(prob, [t], n_nodes=n_nodes)[0]
+        ref = self.unpruned(prob, t, n_nodes)
+        assert ref[0] != 0.0 and np.all(ref[1:] == 0.0)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+    def test_one_block_per_mesh(self, box_half, basis16, monkeypatch):
+        sigmas = []
+
+        def record(times, *args, **kwargs):
+            sigmas.append(np.array(times))
+            return eval_response_block(times, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "eval_response_block", record)
+        times = np.linspace(1.0 / 16.0, 1.0, 16)
+        basis = build_exact_dirichlet(np.pi, 1000)
+        g = np.ones(1000)
+        duhamel(ProblemSpec(box_half, basis, np.zeros(1000), lambda t: g, 1.0),
+                times)
+        assert len(sigmas) == 1 and np.array_equal(sigmas[0], times)
+
+        sigmas.clear()
+        src = self.sources(16)["cos"]
+        duhamel(ProblemSpec(box_half, basis16, np.zeros(16), src, 1.0), times)
+        assert [len(s) for s in sigmas] == [DUHAMEL_NODES] * len(times)
 
 
 class TestSolve:
