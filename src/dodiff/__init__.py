@@ -16,22 +16,15 @@ from .kernel import (
     build_kernel_table,
     check_g0c,
     choose_contour,
-    dEn_dt,
-    eval_En_contour,
-    eval_Gn_contour,
     eval_Gn_spectral,
     eval_kernel_block,
-    mittag_leffler,
-    phi_n,
 )
-from .oracle import GridField, OracleConfig, compare, l1_weights, solve_oracle
+from .oracle import GridField, OracleConfig, compare, solve_oracle
 from .solver import (
     ProblemSpec,
     SolutionField,
     duhamel,
     estimate_decay_exponent,
-    propagate_homogeneous,
-    sobolev_norm_path,
     solve,
 )
 from .spectral import (
@@ -43,17 +36,15 @@ from .spectral import (
     project,
     synthesize,
 )
-from .verify import SUITES, ExperimentReport, VerifyConfig, run_suites
+from .verify import SUITES, ExperimentReport, VerifyConfig
 from .weight import (
     WeightFunction,
     check_symbol_bounds,
-    eval_mu,
     eval_sw,
     eval_w,
     make_box_weight,
     make_constant_weight,
     make_tapered_weight,
-    vartheta_env,
     zeta_env,
     zeta_inv,
 )
@@ -85,31 +76,20 @@ __all__ = [
     "check_symbol_bounds",
     "choose_contour",
     "compare",
-    "dEn_dt",
     "duhamel",
     "estimate_decay_exponent",
-    "eval_En_contour",
-    "eval_Gn_contour",
     "eval_Gn_spectral",
     "eval_kernel_block",
-    "eval_mu",
     "eval_sw",
     "eval_w",
     "fractional_norm",
-    "l1_weights",
     "make_box_weight",
     "make_constant_weight",
     "make_tapered_weight",
-    "mittag_leffler",
-    "phi_n",
     "project",
-    "propagate_homogeneous",
-    "run_suites",
-    "sobolev_norm_path",
     "solve",
     "solve_oracle",
     "synthesize",
-    "vartheta_env",
     "zeta_env",
     "zeta_inv",
     "__version__",

@@ -28,13 +28,21 @@ from . import verify as vf
 from . import weight as wt
 from .errors import DomainError, NumericError, PreconditionError
 
+# the keys of each section; those of [weight] depend on its type and are
+# checked by the weight parser
+_KEYS = {
+    "operator": {"kind", "a", "q", "l", "c_a", "m", "n"},
+    "problem": {"u0", "source", "t", "times", "kappas"},
+    "numerics": {"quad_order", "duhamel_nodes", "seed", "theta", "dt", "steps",
+                 "alpha_nodes"},
+}
 _RANGES = {
-    "n_modes": (1, 4096),
-    "quad_order": (8, 512),
-    "duhamel_nodes": (16, 65536),
-    "grid_points": (3, 100001),
-    "alpha_nodes": (2, 512),
-    "steps": (1, 10_000_000),
+    "operator.n": (1, 4096),
+    "operator.m": (3, 100001),
+    "numerics.quad_order": (8, 512),
+    "numerics.duhamel_nodes": (16, 65536),
+    "numerics.alpha_nodes": (2, 512),
+    "numerics.steps": (1, 10_000_000),
 }
 
 
@@ -63,14 +71,17 @@ class ProblemBundle:
     times: np.ndarray
     kappas: tuple
     grid_points: int
-    coefficient_exprs: tuple  # raw (a, q) expression strings, for round trips
     numerics: dict
 
 
-def _check_range(key: str, value: float):
-    lo, hi = _RANGES[key]
-    if not (lo <= value <= hi):
-        raise PreconditionError(f"[numerics] {key} = {value} outside [{lo}, {hi}]")
+def _number(body: dict, name: str, default: str, cast=float):
+    """The scalar ``name`` (``section.key``) from its section's body, or the
+    default, checked against its range in ``_RANGES`` if it has one."""
+    value = textio.parse_number(body.get(name.split(".", 1)[1], default), name, cast)
+    if name in _RANGES:
+        lo, hi = _RANGES[name]
+        if not lo <= value <= hi:
+            raise PreconditionError(f"{name} = {value} outside [{lo}, {hi}]")
     return value
 
 
@@ -131,32 +142,36 @@ def _expression(expr: str):
 def parse_config(text: str, overrides: dict | None = None) -> ProblemBundle:
     """Parse and validate one config document into live objects.
 
-    Schema: [weight] as in the weight serializer; [operator] keys kind
-    (dirichlet|fd), a, q, L, c_a, M, N; [problem] keys u0 (``modes: c1 c2
-    ...`` or ``profile: sine|parabola``), source (``none``, ``modes: ...``
-    constant in time), T, times, kappas; [numerics] keys quad_order,
-    duhamel_nodes, seed, theta, dt, steps, alpha_nodes.
+    Schema: [weight] as read by ``weight.weight_from_mapping``; [operator]
+    keys kind (dirichlet|fd), a, q, L, c_a, M, N; [problem] keys u0
+    (``modes: c1 c2 ...`` or ``profile: sine|parabola``), source (``none``,
+    ``modes: ...`` constant in time), T, times, kappas; [numerics] keys
+    quad_order, duhamel_nodes, seed, theta, dt, steps, alpha_nodes.  Keys
+    are case-insensitive; any other section or key is rejected.
     """
     sections = textio.parse_document(text)
     for name, body in (overrides or {}).items():
         sections.setdefault(name, {}).update(body)
-    known = {"weight", "operator", "problem", "numerics"}
-    for name in sections:
-        if name not in known:
+    for name, body in sections.items():
+        if name == "weight":
+            continue
+        if name not in _KEYS:
             raise PreconditionError(f"unknown config section [{name}]")
+        for key in body:
+            if key not in _KEYS[name]:
+                raise PreconditionError(f"unknown config key {name}.{key}")
 
     weight = wt.weight_from_mapping(sections.get("weight", {"type": "constant"}))
 
     op = sections.get("operator", {})
     kind = op.get("kind", "dirichlet").strip().lower()
-    length = float(op.get("l", repr(np.pi)))
-    n_modes = int(_check_range("n_modes", int(op.get("n", "64"))))
-    a_expr, q_expr = op.get("a", "1.0"), op.get("q", "0.0")
-    a_fn = _expression(a_expr)
-    q_fn = _expression(q_expr)
-    c_a = float(op.get("c_a", "0")) or float(np.min(a_fn(np.linspace(0, length, 257))))
+    length = _number(op, "operator.l", repr(np.pi))
+    n_modes = _number(op, "operator.n", "64", int)
+    a_fn = _expression(op.get("a", "1.0"))
+    q_fn = _expression(op.get("q", "0.0"))
+    c_a = _number(op, "operator.c_a", "0") or float(np.min(a_fn(np.linspace(0, length, 257))))
     elliptic = sp.EllipticCoefficients(a=a_fn, q=q_fn, c_a=c_a, length=length)
-    M = int(_check_range("grid_points", int(op.get("m", "201"))))
+    M = _number(op, "operator.m", "201", int)
     if kind == "dirichlet":
         basis = sp.build_exact_dirichlet(length, n_modes,
                                          grid_points=max(1025, n_modes + 2))
@@ -166,16 +181,16 @@ def parse_config(text: str, overrides: dict | None = None) -> ProblemBundle:
         raise PreconditionError(f"unknown operator kind {kind!r}")
 
     pr = sections.get("problem", {})
-    horizon = float(pr.get("t", "1.0"))
+    horizon = _number(pr, "problem.t", "1.0")
     if horizon <= 0.0:
-        raise PreconditionError(f"[problem] T = {horizon} must be positive")
-    times = textio.parse_array(pr.get("times", "")) if pr.get("times") else \
-        np.linspace(horizon / 8.0, horizon, 8)
+        raise PreconditionError(f"problem.t = {pr['t'].strip()!r} must be positive")
+    times = textio.parse_array(pr["times"], "problem.times") if pr.get("times") \
+        else np.linspace(horizon / 8.0, horizon, 8)
     if np.any(times <= 0.0) or np.any(times > horizon * (1 + 1e-12)):
-        raise PreconditionError("[problem] times must lie inside (0, T]")
-    kappas = tuple(textio.parse_array(pr.get("kappas", "0.5 1.0")))
+        raise PreconditionError("problem.times must lie inside (0, T]")
+    kappas = tuple(textio.parse_array(pr.get("kappas", "0.5 1.0"), "problem.kappas"))
     if any(not 0.0 <= k <= 1.0 for k in kappas):
-        raise PreconditionError("[problem] kappas must lie in [0, 1]")
+        raise PreconditionError("problem.kappas must lie in [0, 1]")
 
     u0_spec = pr.get("u0", "modes: 1").strip()
     profile_fns = {
@@ -183,7 +198,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ProblemBundle:
         "parabola": lambda x: x * (length - x),
     }
     if u0_spec.startswith("modes:"):
-        c0 = sp.coefficients_from_text(u0_spec.split(":", 1)[1], n_modes)
+        c0 = sp.coefficients_from_text(u0_spec.split(":", 1)[1], n_modes,
+                                       "problem.u0")
         u0_fn = (lambda c: (lambda x: _synth_on(basis, c, x)))(c0)
     elif u0_spec.startswith("profile:"):
         name = u0_spec.split(":", 1)[1].strip()
@@ -192,72 +208,47 @@ def parse_config(text: str, overrides: dict | None = None) -> ProblemBundle:
         u0_fn = profile_fns[name]
         c0 = sp.project(basis, u0_fn(basis.grid))
     else:
-        raise PreconditionError(f"[problem] u0 descriptor {u0_spec!r} not recognized")
+        raise PreconditionError(f"problem.u0 descriptor {u0_spec!r} not recognized")
 
     src_spec = pr.get("source", "none").strip()
     if src_spec == "none":
         src_coeffs = src_profile = None
     elif src_spec.startswith("modes:"):
-        g = sp.coefficients_from_text(src_spec.split(":", 1)[1], n_modes)
+        g = sp.coefficients_from_text(src_spec.split(":", 1)[1], n_modes,
+                                      "problem.source")
         src_coeffs = (lambda gg: (lambda t: gg))(g)
         src_profile = (lambda gg: (lambda t, x: _synth_on(basis, gg, x)))(g)
     else:
-        raise PreconditionError(f"[problem] source descriptor {src_spec!r} not recognized")
+        raise PreconditionError(f"problem.source descriptor {src_spec!r} not recognized")
 
-    nm = dict(sections.get("numerics", {}))
-    dt = float(nm.get("dt", "1e-3"))
-    default_steps = max(1, int(round(horizon / dt)))
+    nm = sections.get("numerics", {})
+    dt = _number(nm, "numerics.dt", "1e-3")
+    if dt <= 0.0:
+        raise PreconditionError(f"numerics.dt = {nm['dt'].strip()!r} must be positive")
+    # capped so that a tiny dt lands in the range check, not in an overflow
+    default_steps = max(1, int(round(min(horizon / dt, 1e9))))
     numerics = {
-        "quad_order": int(_check_range("quad_order", int(nm.get("quad_order", "64")))),
-        "duhamel_nodes": int(_check_range("duhamel_nodes",
-                                          int(nm.get("duhamel_nodes", "256")))),
-        "seed": int(nm.get("seed", "20240915")),
-        "theta": float(nm.get("theta", repr(3 * np.pi / 4))),
+        "quad_order": _number(nm, "numerics.quad_order", "64", int),
+        "duhamel_nodes": _number(nm, "numerics.duhamel_nodes", "256", int),
+        "seed": _number(nm, "numerics.seed", "20240915", int),
+        "theta": _number(nm, "numerics.theta", repr(3 * np.pi / 4)),
         "dt": dt,
-        "steps": int(_check_range("steps", int(nm.get("steps", str(default_steps))))),
-        "alpha_nodes": int(_check_range("alpha_nodes", int(nm.get("alpha_nodes", "32")))),
+        "steps": _number(nm, "numerics.steps", str(default_steps), int),
+        "alpha_nodes": _number(nm, "numerics.alpha_nodes", "32", int),
     }
     if not (np.pi / 2 < numerics["theta"] < np.pi):
-        raise PreconditionError(f"[numerics] theta = {numerics['theta']} outside (pi/2, pi)")
+        raise PreconditionError(f"numerics.theta = {numerics['theta']} outside (pi/2, pi)")
 
     return ProblemBundle(weight=weight, elliptic=elliptic, basis=basis,
                          initial_coeffs=c0, initial_profile=u0_fn,
                          source_coeffs=src_coeffs, source_profile=src_profile,
                          horizon=horizon, times=np.asarray(times, dtype=float),
-                         kappas=kappas, grid_points=M,
-                         coefficient_exprs=(a_expr, q_expr), numerics=numerics)
+                         kappas=kappas, grid_points=M, numerics=numerics)
 
 
 def _synth_on(basis, coeffs, x):
     vals = sp.synthesize(basis, coeffs)
     return np.interp(np.asarray(x, dtype=float), basis.grid, vals)
-
-
-def serialize_bundle(bundle: ProblemBundle) -> str:
-    """Canonical re-serialization of the parseable state (round-trip check)."""
-    sections = {
-        "weight": bundle.weight.to_mapping(),
-        "operator": {
-            "kind": "dirichlet" if bundle.basis.closed_form else "fd",
-            "a": bundle.coefficient_exprs[0],
-            "q": bundle.coefficient_exprs[1],
-            "l": repr(bundle.elliptic.length),
-            "n": str(bundle.basis.n_modes),
-            "m": str(bundle.grid_points),
-            "c_a": repr(bundle.elliptic.c_a),
-        },
-        "problem": {
-            "u0": "modes: " + textio.format_array(bundle.initial_coeffs),
-            "source": "none" if bundle.source_coeffs is None else
-                      "modes: " + textio.format_array(bundle.source_coeffs(0.0)),
-            "t": repr(bundle.horizon),
-            "times": textio.format_array(bundle.times),
-            "kappas": textio.format_array(bundle.kappas),
-        },
-        "numerics": {k: repr(v) if isinstance(v, float) else str(v)
-                     for k, v in bundle.numerics.items()},
-    }
-    return textio.format_document(sections)
 
 
 def provenance_lines(run: RunConfig, config_text: str) -> list[str]:
@@ -295,28 +286,28 @@ def _cmd_kernel(run: RunConfig, bundle: ProblemBundle, prov: list[str]) -> int:
     return 0
 
 
-def _solution_csvs(out: Path, field, kappas, prov: list[str], stem: str) -> None:
+def _field_csv(path: Path, field, times, prov: list[str]) -> None:
+    """(t, x, u) rows of a solver or oracle field at the output times."""
     rows = []
-    for j, t in enumerate(field.times):
+    for t in times:
         x, u = field.sample(float(t))
-        for xi, ui in zip(x, u):
-            rows.append([float(t), float(xi), float(ui)])
-    textio.write_csv(out / f"{stem}_field.csv", ["t", "x", "u"], rows,
-                     comments=prov)
-    norms = [field.l2_norms()] + [field.frac_norms(k) for k in kappas]
-    norm_rows = [[float(t)] + [float(col[j]) for col in norms]
-                 for j, t in enumerate(field.times)]
-    textio.write_csv(out / f"{stem}_norms.csv",
-                     ["t", "l2"] + [f"graph_{k}" for k in kappas],
-                     norm_rows, comments=prov)
+        rows.extend([float(t), float(xi), float(ui)] for xi, ui in zip(x, u))
+    textio.write_csv(path, ["t", "x", "u"], rows, comments=prov)
 
 
 def _cmd_solve(run: RunConfig, bundle: ProblemBundle, prov: list[str]) -> int:
+    out = Path(run.out_dir)
     prob = sv.ProblemSpec(bundle.weight, bundle.basis, bundle.initial_coeffs,
                           bundle.source_coeffs, bundle.horizon)
     field = sv.solve(prob, bundle.times, n_nodes=bundle.numerics["duhamel_nodes"],
                      cfg=_kernel_config(bundle))
-    _solution_csvs(Path(run.out_dir), field, bundle.kappas, prov, "solve")
+    _field_csv(out / "solve_field.csv", field, field.times, prov)
+    norms = [field.l2_norms()] + [field.frac_norms(k) for k in bundle.kappas]
+    norm_rows = [[float(t)] + [float(col[j]) for col in norms]
+                 for j, t in enumerate(field.times)]
+    textio.write_csv(out / "solve_norms.csv",
+                     ["t", "l2"] + [f"graph_{k}" for k in bundle.kappas],
+                     norm_rows, comments=prov)
     return 0
 
 
@@ -325,19 +316,9 @@ def _cmd_oracle(run: RunConfig, bundle: ProblemBundle, prov: list[str]) -> int:
                           grid_points=max(bundle.grid_points,
                                           bundle.basis.n_modes + 2),
                           alpha_nodes=bundle.numerics["alpha_nodes"])
-    src = None
-    if bundle.source_profile is not None:
-        src = bundle.source_profile
     field = oc.solve_oracle(bundle.elliptic, bundle.weight,
-                            bundle.initial_profile, src, cfg)
-    out = Path(run.out_dir)
-    rows = []
-    for t in bundle.times:
-        x, u = field.sample(float(t))
-        for xi, ui in zip(x, u):
-            rows.append([float(t), float(xi), float(ui)])
-    textio.write_csv(out / "oracle_field.csv", ["t", "x", "u"], rows,
-                     comments=prov)
+                            bundle.initial_profile, bundle.source_profile, cfg)
+    _field_csv(Path(run.out_dir) / "oracle_field.csv", field, bundle.times, prov)
     return 0
 
 
@@ -396,7 +377,8 @@ def _parse_overrides(pairs) -> dict:
         except ValueError:
             raise PreconditionError(
                 f"override {pair!r} must look like section.key=value")
-        overrides.setdefault(section, {})[name] = value.strip()
+        # keys are case-insensitive, as in the document parser
+        overrides.setdefault(section, {})[name.lower()] = value.strip()
     return overrides
 
 

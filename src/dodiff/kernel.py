@@ -7,10 +7,11 @@ two inverse-Laplace kernels,
     G_n(t) = (1/2 pi i) int_gamma     1/(s w(s) + lambda_n) e^(st) ds,
 
 which generalize the constant-order pair E_a(-lambda t^a) and
-t^(a-1) E_{a,a}(-lambda t^a).  The contour gamma(eps, theta) consists of two
-rays at angles +-theta in (pi/2, pi) joined by an arc of radius eps; the
-kernels are independent of any admissible (eps, theta), which the tests
-exploit as an internal consistency check.
+t^(a-1) E_{a,a}(-lambda t^a); the Mittag-Leffler evaluator for that limit
+is a test reference and lives with the tests.  The contour gamma(eps, theta)
+consists of two rays at angles +-theta in (pi/2, pi) joined by an arc of
+radius eps; the kernels are independent of any admissible (eps, theta),
+which the tests exploit as an internal consistency check.
 
 The same contour, with s^-k in place of w(s), gives the time integrals of G,
 
@@ -39,6 +40,10 @@ likewise share one grid across modes.
 Only the upper ray and upper half-arc are quadratured; the lower half is
 their complex conjugate, which halves the cost and forces a real result.
 
+Kernels are evaluated as (times x modes) blocks from eigenvalue vectors;
+the entry points taking a 1-based mode index are ``eval_Gn_spectral``,
+``an_threshold`` and ``check_g0c``, which reject an index outside the basis.
+
 Everything here is pure; kernel tables are immutable once built and safe to
 fill from concurrent workers.
 """
@@ -48,9 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
-from scipy.special import rgamma
 
 from .errors import DomainError, NumericError, PreconditionError
 from .spectral import SpectralBasis
@@ -271,36 +274,10 @@ def _contour_block(times, lambdas, w: WeightFunction, cfg: KernelConfig | None,
     return A, B
 
 
-def eval_En_contour(n: int, t: float, basis: SpectralBasis, w: WeightFunction,
-                    spec: ContourSpec | None = None,
-                    cfg: KernelConfig | None = None) -> float:
-    """Homogeneous-propagator kernel for 1-based mode n at time t."""
-    return float(eval_kernel_row(t, [_mode_lambda(basis, n)], w, spec=spec,
-                                 cfg=cfg)[0][0])
-
-
-def eval_Gn_contour(n: int, t: float, basis: SpectralBasis, w: WeightFunction,
-                    spec: ContourSpec | None = None,
-                    cfg: KernelConfig | None = None) -> float:
-    """Source-response kernel for 1-based mode n at time t."""
-    return float(eval_kernel_row(t, [_mode_lambda(basis, n)], w, spec=spec,
-                                 cfg=cfg)[1][0])
-
-
 def _mode_lambda(basis: SpectralBasis, n: int) -> float:
     if not (1 <= n <= basis.n_modes):
         raise DomainError(f"mode index n = {n} outside 1..{basis.n_modes}")
     return float(basis.eigenvalues[n - 1])
-
-
-def phi_n(n: int, r, basis: SpectralBasis, w: WeightFunction):
-    """Spectral density Phi_n(r) of mode n on the positive half-line."""
-    lam = _mode_lambda(basis, n)
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r_arr <= 0.0):
-        raise DomainError("Phi_n is defined for r > 0")
-    out = _phi_on_cut([lam], np.log(r_arr), w)[0]
-    return out if np.ndim(r) else float(out[0])
 
 
 def _phi_on_cut(lambdas, logr, w: WeightFunction, order: int = 64) -> np.ndarray:
@@ -353,79 +330,6 @@ def eval_Gn_spectral(n: int, t: float, basis: SpectralBasis, w: WeightFunction,
                      cfg: KernelConfig | None = None) -> float:
     """G_n(t) through the real-axis density, one entry of the spectral block."""
     return float(eval_spectral_block([t], [_mode_lambda(basis, n)], w, cfg)[0, 0])
-
-
-def dEn_dt(n: int, t: float, basis: SpectralBasis, w: WeightFunction,
-           spec: ContourSpec | None = None,
-           cfg: KernelConfig | None = None) -> float:
-    """Time derivative of E_n through the identity dE_n/dt = -lambda_n G_n."""
-    lam = _mode_lambda(basis, n)
-    return -lam * eval_Gn_contour(n, t, basis, w, spec=spec, cfg=cfg)
-
-
-# --- Mittag-Leffler reference ------------------------------------------------
-
-def mittag_leffler(alpha: float, beta: float, z: float) -> float:
-    """E_(alpha,beta)(z) for real z <= 0 and alpha in (0, 1].
-
-    Power series sum z^k / Gamma(alpha k + beta) below the switch radius
-    max(5, 21^alpha); the series is summed in extended precision because its
-    terms grow like exp(|z|^(1/alpha)) before they decay.  Beyond the switch
-    the algebraic tail expansion -sum z^(-k)/Gamma(beta - alpha k) applies,
-    truncated at its smallest term; the switch radius keeps that optimal
-    truncation error below 1e-9.
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"alpha = {alpha} outside (0, 1]")
-    z = float(z)
-    if z > 0.0:
-        raise DomainError(f"evaluator covers z <= 0, got z = {z}")
-    if z == 0.0:
-        return float(rgamma(beta))
-    if abs(z) <= max(5.0, 21.0 ** alpha):
-        return _ml_series(alpha, beta, z)
-    return _ml_asymptotic(alpha, beta, z)
-
-
-def _ml_series(alpha: float, beta: float, z: float) -> float:
-    growth = abs(z) ** (1.0 / alpha)
-    extra = int(math.ceil(0.45 * growth)) + 10
-    if extra > 1200:
-        raise NumericError(
-            f"series at alpha = {alpha}, |z| = {abs(z)} needs {extra} digits")
-    with mp.workdps(20 + extra):
-        za, ba = mp.mpf(alpha), mp.mpf(beta)
-        zz = mp.mpf(z)
-        total = mp.mpf(0)
-        power = mp.mpf(1)
-        kmax = int(4 * (growth / alpha + 60))
-        tol = mp.mpf(10) ** (-(mp.mp.dps - 5))
-        small = 0
-        for k in range(kmax):
-            term = power * mp.rgamma(za * k + ba)
-            total += term
-            power *= zz
-            if abs(term) < tol * (1 + abs(total)):
-                small += 1
-                if small >= 3 and za * k + ba > growth + 2:
-                    break
-            else:
-                small = 0
-        else:
-            raise NumericError("series failed to converge within the term cap")
-        return float(total)
-
-
-def _ml_asymptotic(alpha: float, beta: float, z: float) -> float:
-    # optimal truncation: |terms| dip to a global minimum before diverging,
-    # but not monotonically (the reciprocal gamma oscillates through its
-    # zeros), so truncate at the global minimum over a fixed horizon
-    ks = np.arange(1, 201)
-    terms = -rgamma(beta - alpha * ks) * z ** (-ks.astype(float))
-    mags = np.abs(terms)
-    mags[mags == 0.0] = np.inf
-    stop = int(np.argmin(mags)) + 1
-    return float(math.fsum(terms[:stop]))
 
 
 # --- spectral-density tail machinery ------------------------------------------

@@ -21,12 +21,12 @@ Strictly sequential in time; independent problems may run concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.special import gamma as gamma_fn
 
 from .errors import DomainError, NumericError, PreconditionError
 from .spectral import EllipticCoefficients
@@ -68,21 +68,6 @@ class GridField:
         return self.grid, self.values[idx]
 
 
-def l1_weights(alpha: float, k: int, dt: float) -> np.ndarray:
-    """History weights of the piecewise-linear Caputo discretization.
-
-    Positive, decreasing in j; the j = 0 weight times dt tends to 1 as
-    alpha -> 1, where the scheme degenerates to backward differencing.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha = {alpha} outside the open interval (0, 1)")
-    if k < 1 or dt <= 0.0:
-        raise DomainError("need k >= 1 history weights and dt > 0")
-    j = np.arange(k, dtype=float)
-    return ((j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)) \
-        * dt ** (-alpha) / gamma_fn(2.0 - alpha)
-
-
 def order_nodes(w: WeightFunction, n_nodes: int):
     """Gauss-Legendre nodes and density-carrying weights over the order
     interval, one panel per polynomial piece (zero pieces skipped).  Open
@@ -106,7 +91,8 @@ def effective_history_weights(w: WeightFunction, k: int, dt: float,
     j = np.arange(k, dtype=float)
     # matrix (n_alpha, k) of per-order L1 weights, contracted with the density
     b = ((j[None, :] + 1.0) ** (1.0 - al[:, None]) - j[None, :] ** (1.0 - al[:, None]))
-    b *= dt ** (-al[:, None]) / gamma_fn(2.0 - al)[:, None]
+    gamma = np.array([math.gamma(2.0 - a) for a in al])
+    b *= dt ** (-al[:, None]) / gamma[:, None]
     return wts @ b
 
 

@@ -22,8 +22,7 @@ Solution fields are written once and immutable afterwards.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,9 +40,7 @@ class ProblemSpec:
     """One initial-boundary value problem in spectral form.
 
     ``source`` maps a time to the mode-coefficient vector of F(t, .) and must
-    stay bounded on [0, T]; ``gamma`` optionally tags the smoothness class of
-    the initial state (initial coefficients decaying like the gamma-th
-    operator power).
+    stay bounded on [0, T].
     """
 
     weight: WeightFunction
@@ -51,7 +48,6 @@ class ProblemSpec:
     initial_coeffs: np.ndarray
     source: Callable[[float], np.ndarray] | None
     horizon: float
-    gamma: float | None = None
 
     def __post_init__(self):
         c0 = np.asarray(self.initial_coeffs, dtype=float)
@@ -62,8 +58,6 @@ class ProblemSpec:
             raise PreconditionError(
                 f"initial coefficients {c0.shape} do not match "
                 f"{self.basis.n_modes} modes")
-        if self.gamma is not None and not (0.0 < self.gamma <= 1.0):
-            raise PreconditionError(f"gamma = {self.gamma} outside (0, 1]")
         if self.source is not None:
             for t in (0.0, 0.5 * self.horizon, self.horizon):
                 f = np.asarray(self.source(t), dtype=float)
@@ -104,28 +98,9 @@ class SolutionField:
         return self.basis.grid, synthesize(self.basis, self.coeffs[idx])
 
 
-def homogeneous_tail_bound(problem: ProblemSpec, t: float) -> float:
-    """Scale of the modes lost to truncation at N for smoothness-gamma data:
-    the homogeneous kernel decays like e^T lambda_n^(gamma-1) t^(gamma-1), so
-    the first omitted mode is bounded by that factor times the data norm."""
-    gamma = 1.0 if problem.gamma is None else problem.gamma
-    lam_edge = float(problem.basis.eigenvalues[-1])
-    data_norm = float(np.linalg.norm(problem.initial_coeffs))
-    return float(np.exp(problem.horizon) * lam_edge ** (gamma - 1.0)
-                 * t ** min(gamma - 1.0, 0.0) * data_norm)
-
-
 def _check_time(problem: ProblemSpec, t: float):
     if not (0.0 < t <= problem.horizon * (1.0 + 1e-12)):
         raise DomainError(f"time t = {t} outside (0, T = {problem.horizon}]")
-
-
-def propagate_homogeneous(problem: ProblemSpec, t: float,
-                          cfg: KernelConfig | None = None) -> np.ndarray:
-    """Coefficients of S0(t) u0: diagonal action c_n(0) -> E_n(t) c_n(0)."""
-    _check_time(problem, t)
-    E, _ = eval_kernel_block([t], problem.basis.eigenvalues, problem.weight, cfg=cfg)
-    return E[0] * problem.initial_coeffs
 
 
 def duhamel_mesh(t: float, n_nodes: int = DUHAMEL_NODES):
@@ -202,7 +177,8 @@ def _response_rows(problem: ProblemSpec, sigma, group, out: np.ndarray,
 
 def solve(problem: ProblemSpec, times, n_nodes: int = DUHAMEL_NODES,
           cfg: KernelConfig | None = None) -> SolutionField:
-    """Superpose the homogeneous and Duhamel parts on a time grid."""
+    """Superpose the homogeneous and Duhamel parts on a time grid; every
+    time must lie in (0, T], or ``DomainError`` names it."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     for t in times:
         _check_time(problem, t)
@@ -212,24 +188,6 @@ def solve(problem: ProblemSpec, times, n_nodes: int = DUHAMEL_NODES,
     if problem.source is not None:
         coeffs += duhamel(problem, times, n_nodes=n_nodes, cfg=cfg)
     return SolutionField(times=times, coeffs=coeffs, basis=problem.basis)
-
-
-def sobolev_norm_path(field: SolutionField, kappa: float, p: float,
-                      alpha0: float | None = None) -> float:
-    """Time-integrated fractional norm (int ||u||^p dt)^(1/p), trapezoid rule
-    on the stored grid.  When the concentration point is supplied, exponents
-    outside the guaranteed integrability window p < 1/(1 - alpha0(1 - kappa))
-    are allowed but flagged."""
-    if p < 1.0:
-        raise DomainError(f"p = {p} must be >= 1")
-    if alpha0 is not None:
-        p_max = 1.0 / (1.0 - alpha0 * (1.0 - kappa))
-        if p >= p_max:
-            warnings.warn(
-                f"p = {p} at or beyond the integrability window (max {p_max:.4f})",
-                stacklevel=2)
-    norms = field.frac_norms(kappa)
-    return float(np.trapezoid(norms ** p, field.times) ** (1.0 / p))
 
 
 def estimate_decay_exponent(field: SolutionField, kappa: float,

@@ -49,29 +49,19 @@ class EllipticCoefficients:
             raise PreconditionError("potential invariant violated: q(x) < 0")
 
 
-def constant_coefficients(a: float = 1.0, q: float = 0.0, length: float = np.pi,
-                          c_a: float | None = None) -> EllipticCoefficients:
-    return EllipticCoefficients(a=lambda x: np.full_like(np.asarray(x, float), a),
-                                q=lambda x: np.full_like(np.asarray(x, float), q),
-                                c_a=a if c_a is None else c_a,
-                                length=length)
-
-
 @dataclass(frozen=True)
 class SpectralBasis:
     """Lowest-N eigenpairs on a uniform grid.
 
     ``eigenvalues`` are non-decreasing and bounded below by the ellipticity
     floor; ``eigenvectors`` has shape (N, M) with boundary zeros and rows
-    orthonormal in the grid inner product.  ``closed_form`` tags exact sine
-    bases.
+    orthonormal in the grid inner product.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     grid: np.ndarray
     floor: float
-    closed_form: bool = False
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
@@ -127,7 +117,7 @@ def build_exact_dirichlet(L: float, N: int, grid_points: int = 1025) -> Spectral
     vec = np.sqrt(2.0 / L) * np.sin(np.outer(n, x) * np.pi / L)
     vec[:, 0] = vec[:, -1] = 0.0
     return SpectralBasis(eigenvalues=lam, eigenvectors=vec, grid=x,
-                         floor=lam[0], closed_form=True)
+                         floor=lam[0])
 
 
 def assemble_tridiagonal(coeffs: EllipticCoefficients, M: int):
@@ -195,28 +185,15 @@ def fractional_norm(basis: SpectralBasis, coeffs: np.ndarray, kappa: float) -> f
     return float(np.sqrt(np.sum(basis.eigenvalues ** (2.0 * kappa) * coeffs ** 2)))
 
 
-def export_eigenvalues_csv(basis: SpectralBasis) -> str:
-    lines = ["n,lambda"]
-    for i, lam in enumerate(basis.eigenvalues, start=1):
-        lines.append(f"{i},{float(lam)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def export_eigenvectors_txt(basis: SpectralBasis) -> str:
-    """Whitespace text matrix: first column x, one column per mode."""
-    header = "# x " + " ".join(f"phi_{i}" for i in range(1, basis.n_modes + 1))
-    body = np.column_stack([basis.grid, basis.eigenvectors.T])
-    rows = [" ".join(repr(float(v)) for v in row) for row in body]
-    return header + "\n" + "\n".join(rows) + "\n"
-
-
-def coefficients_from_text(text: str, n_modes: int) -> np.ndarray:
+def coefficients_from_text(text: str, n_modes: int, name: str) -> np.ndarray:
     """Parse a mode-coefficient list (same array syntax as the config format),
-    zero-padded or rejected against the target mode count."""
-    arr = textio.parse_array(text)
+    zero-padded or rejected against the target mode count; ``name`` is the
+    ``section.key`` the text came from, for error messages."""
+    arr = textio.parse_array(text, name)
     if len(arr) > n_modes:
         raise PreconditionError(
-            f"{len(arr)} coefficients supplied but basis holds {n_modes} modes")
+            f"{name}: {len(arr)} coefficients supplied but basis holds "
+            f"{n_modes} modes")
     out = np.zeros(n_modes)
     out[: len(arr)] = arr
     return out

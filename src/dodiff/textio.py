@@ -10,33 +10,41 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 
 import numpy as np
 
 from .errors import PreconditionError
 
 
-def parse_array(text: str) -> np.ndarray:
-    toks = text.replace(",", " ").split()
-    if not toks:
-        return np.zeros(0)
+def parse_number(text: str, name: str, cast=float):
+    """One finite scalar from a config value, by ``cast`` (float or int).
+
+    Every scalar of a config document is read here, so a malformed or
+    non-finite value ends in a ``PreconditionError`` naming ``name`` (the
+    ``section.key`` it came from) and the text.
+    """
+    text = text.strip()
     try:
-        return np.array([float(t) for t in toks])
-    except ValueError as exc:
-        raise PreconditionError(f"cannot parse numeric array from {text!r}") from exc
+        value = cast(text)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise PreconditionError(f"{name} = {text!r} is not {kind}") from None
+    if not math.isfinite(value):
+        raise PreconditionError(f"{name} = {text!r} is not finite")
+    return value
 
 
-def format_array(values) -> str:
-    return " ".join(repr(float(v)) for v in np.atleast_1d(values))
+def parse_array(text: str, name: str) -> np.ndarray:
+    """Finite numbers separated by whitespace or commas; a bad entry k is
+    reported as ``name[k]``."""
+    return np.array([parse_number(tok, f"{name}[{k}]")
+                     for k, tok in enumerate(text.replace(",", " ").split())])
 
 
-def parse_array_groups(text: str) -> list[np.ndarray]:
+def parse_array_groups(text: str, name: str) -> list[np.ndarray]:
     """Parse ``;``-separated arrays, e.g. piecewise polynomial coefficients."""
-    return [parse_array(part) for part in text.split(";")]
-
-
-def format_array_groups(groups) -> str:
-    return " ; ".join(format_array(g) for g in groups)
+    return [parse_array(part, name) for part in text.split(";")]
 
 
 def parse_document(text: str) -> dict[str, dict[str, str]]:

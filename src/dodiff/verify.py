@@ -110,7 +110,7 @@ def run_decay_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
     # smooth data: graph norm stays bounded as t -> 0
     c0 = np.zeros(basis.n_modes)
     c0[0] = 1.0
-    prob = sv.ProblemSpec(w, basis, c0, None, cfg.horizon, gamma=1.0)
+    prob = sv.ProblemSpec(w, basis, c0, None, cfg.horizon)
     field = sv.solve(prob, ts)
     try:
         slope = sv.estimate_decay_exponent(field, 1.0, (1e-4, 1e-2))
@@ -132,7 +132,7 @@ def run_decay_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
     # rough data at half smoothness
     gamma = 0.5
     c_rough = basis.eigenvalues ** (-gamma - 0.51)
-    prob2 = sv.ProblemSpec(w, basis, c_rough, None, cfg.horizon, gamma=gamma)
+    prob2 = sv.ProblemSpec(w, basis, c_rough, None, cfg.horizon)
     field2 = sv.solve(prob2, ts)
     try:
         slope2 = sv.estimate_decay_exponent(field2, 1.0, (1e-4, 1e-2))
@@ -215,7 +215,7 @@ def _fd_problem(cfg: VerifyConfig, w: wt.WeightFunction, a_shift: float,
     basis = sp.build_fd(ell, cfg.fd_points, cfg.stability_modes)
     u0 = basis.grid * (cfg.length - basis.grid)
     c0 = sp.project(basis, u0)
-    return basis, sv.ProblemSpec(w, basis, c0, None, cfg.horizon, gamma=1.0)
+    return basis, sv.ProblemSpec(w, basis, c0, None, cfg.horizon)
 
 
 def run_stability_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
@@ -350,7 +350,7 @@ def run_smoothness_probe(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport
     w = wt.make_constant_weight(1.0, alpha0=0.5, delta=0.25)
     c0 = np.zeros(8)
     c0[0] = 1.0
-    prob = sv.ProblemSpec(w, basis, c0, None, 2.0, gamma=1.0)
+    prob = sv.ProblemSpec(w, basis, c0, None, 2.0)
     field = sv.solve(prob, ts)
     diffs = divided_differences(ts, field.coeffs, 4)
     scale = np.max(field.l2_norms())
@@ -376,8 +376,3 @@ SUITES: dict[str, Callable[[VerifyConfig], ExperimentReport]] = {
     "smoothness": run_smoothness_probe,
 }
 
-
-def run_suites(names, cfg: VerifyConfig = VerifyConfig()) -> list[ExperimentReport]:
-    if names == "all" or names == ["all"]:
-        names = list(SUITES)
-    return [SUITES[name](cfg) for name in names]

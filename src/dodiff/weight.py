@@ -13,12 +13,11 @@ the density stays above mu(alpha0)/2 on the open window
 resolvent symbol s*w(s) + lambda.  An optional upper cutoff alpha1 certifies
 that mu vanishes on (alpha1, 1).
 
-The envelopes
+The envelope
 
-    zeta(r)     = (r - 1)/log r     (continuous, = 1 at r = 1, increasing),
-    vartheta(r) = zeta(r)/r         (decreasing),
+    zeta(r) = (r - 1)/log r     (continuous, = 1 at r = 1, increasing)
 
-bound |s w(s)| <= sup|mu| * zeta(|s|) and |w(s)| <= sup|mu| * vartheta(|s|).
+bounds |s w(s)| <= sup|mu| * zeta(|s|), and so |w(s)| <= sup|mu| * zeta(|s|)/|s|.
 zeta is strictly monotone, so it has an inverse; the kernel module uses
 zeta_inv to pick admissible contour radii.
 
@@ -90,6 +89,10 @@ class WeightFunction:
         object.__setattr__(self, "coeffs", cf)
         if bp.ndim != 1 or len(bp) < 2 or len(cf) != len(bp) - 1:
             raise PreconditionError("breakpoints/coeffs shape mismatch")
+        scalars = [self.alpha0, self.delta, self.mu_at_alpha0, self.sup_norm,
+                   0.0 if self.alpha1 is None else self.alpha1]
+        if not all(np.all(np.isfinite(a)) for a in (bp, *cf, scalars)):
+            raise PreconditionError("weight fields must be finite")
         if not (abs(bp[0]) < 1e-15 and abs(bp[-1] - 1.0) < 1e-15):
             raise PreconditionError("breakpoints must span [0, 1]")
         if np.any(np.diff(bp) <= 0):
@@ -184,48 +187,53 @@ class WeightFunction:
             out[lo:lo + _POINT_CHUNK] = np.exp(terms, out=terms) @ wt
         return out
 
-    def to_mapping(self) -> dict[str, str]:
-        doc = {
-            "type": "piecewise",
-            "breakpoints": textio.format_array(self.breakpoints),
-            "coeffs": textio.format_array_groups(self.coeffs),
-            "alpha0": repr(self.alpha0),
-            "delta": repr(self.delta),
-            "mu_at_alpha0": repr(self.mu_at_alpha0),
-            "sup_norm": repr(self.sup_norm),
-        }
-        if self.alpha1 is not None:
-            doc["alpha1"] = repr(self.alpha1)
-        return doc
+
+# the keys of a [weight] section, by weight type
+_WEIGHT_KEYS = {
+    "constant": {"value", "alpha0", "delta"},
+    "box": {"alpha0", "h"},
+    "piecewise": {"breakpoints", "coeffs", "alpha0", "delta", "mu_at_alpha0",
+                  "sup_norm", "alpha1"},
+}
 
 
 def weight_from_mapping(body: dict[str, str]) -> WeightFunction:
-    """Build a weight from the key-value document body (section ``[weight]``)."""
+    """Build a weight from the key-value document body (section ``[weight]``).
+
+    The keys allowed depend on ``type``; any other key is rejected."""
     kind = body.get("type", "piecewise").strip().lower()
+    if kind not in _WEIGHT_KEYS:
+        raise PreconditionError(f"unknown weight type {kind!r}")
+    for key in body:
+        if key != "type" and key not in _WEIGHT_KEYS[kind]:
+            raise PreconditionError(
+                f"unknown config key weight.{key} for a {kind} weight")
+
+    def text(key, default=None):
+        if key in body:
+            return body[key]
+        if default is None:
+            raise PreconditionError(f"{kind} weight missing key weight.{key}")
+        return default
+
+    def number(key, default=None):
+        return textio.parse_number(text(key, default), f"weight.{key}")
+
     if kind == "constant":
         return make_constant_weight(
-            value=float(body.get("value", "1.0")),
-            alpha0=float(body["alpha0"]) if "alpha0" in body else 0.5,
-            delta=float(body["delta"]) if "delta" in body else None,
-        )
+            value=number("value", "1.0"), alpha0=number("alpha0", "0.5"),
+            delta=number("delta") if "delta" in body else None)
     if kind == "box":
-        return make_box_weight(float(body["alpha0"]), float(body["h"]))
-    if kind == "piecewise":
-        try:
-            bp = textio.parse_array(body["breakpoints"])
-            cf = textio.parse_array_groups(body["coeffs"])
-        except KeyError as exc:
-            raise PreconditionError(f"piecewise weight missing key {exc}") from exc
-        return WeightFunction(
-            breakpoints=bp,
-            coeffs=tuple(cf),
-            alpha0=float(body["alpha0"]),
-            delta=float(body["delta"]),
-            mu_at_alpha0=float(body["mu_at_alpha0"]),
-            sup_norm=float(body["sup_norm"]),
-            alpha1=float(body["alpha1"]) if "alpha1" in body else None,
-        )
-    raise PreconditionError(f"unknown weight type {kind!r}")
+        return make_box_weight(number("alpha0"), number("h"))
+    return WeightFunction(
+        breakpoints=textio.parse_array(text("breakpoints"), "weight.breakpoints"),
+        coeffs=tuple(textio.parse_array_groups(text("coeffs"), "weight.coeffs")),
+        alpha0=number("alpha0"),
+        delta=number("delta"),
+        mu_at_alpha0=number("mu_at_alpha0"),
+        sup_norm=number("sup_norm"),
+        alpha1=number("alpha1") if "alpha1" in body else None,
+    )
 
 
 def make_constant_weight(value: float = 1.0, alpha0: float = 0.5,
@@ -292,13 +300,6 @@ def make_tapered_weight(level: float = 1.0, plateau_end: float = 0.75,
     )
 
 
-def eval_mu(w: WeightFunction, alpha: float) -> float:
-    """Pointwise density; at a breakpoint the right-limit value is returned."""
-    if not (0.0 <= alpha <= 1.0):
-        raise DomainError(f"order alpha = {alpha} outside [0, 1]")
-    return float(w._eval_many(np.array([alpha]))[0])
-
-
 def _checked_logs(s) -> np.ndarray:
     """log s for points off the cut (-inf, 0], warning once if any lies near it."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
@@ -332,13 +333,6 @@ def zeta_env(r: float) -> float:
         # series of (r-1)/log(r) about r = 1 avoids the 0/0
         return 1.0 + x / 2.0 - x * x / 12.0
     return x / np.log(r)
-
-
-def vartheta_env(r: float) -> float:
-    """vartheta(r) = zeta(r)/r; decreasing on (0, inf)."""
-    if r <= 0.0:
-        raise DomainError(f"vartheta requires r > 0, got {r}")
-    return zeta_env(r) / r
 
 
 def monotone_root(g, target: float, lo: float, hi: float, xtol: float):

@@ -10,22 +10,23 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import dEn_dt_finite_difference
+from conftest import (
+    constant_coefficients,
+    dEn_dt_finite_difference,
+    mittag_leffler,
+    mode_kernels,
+)
 from dodiff import make_box_weight, make_constant_weight, make_tapered_weight
 from dodiff.kernel import (
     ContourSpec,
     KernelConfig,
     check_g0c,
     choose_contour,
-    dEn_dt,
-    eval_En_contour,
-    eval_Gn_contour,
     eval_Gn_spectral,
-    mittag_leffler,
 )
 from dodiff.oracle import OracleConfig, compare, solve_oracle
 from dodiff.solver import ProblemSpec, estimate_decay_exponent, solve
-from dodiff.spectral import build_exact_dirichlet, constant_coefficients, project
+from dodiff.spectral import build_exact_dirichlet, project
 from dodiff.verify import VerifyConfig, run_stability_suite
 from dodiff.weight import check_symbol_bounds
 
@@ -58,7 +59,7 @@ def test_01_cross_method_kernel_agreement(basis64, mu_const):
     worst = 0.0
     for n in (1, 4, 16):
         for t in (0.01, 0.1, 1.0, 10.0):
-            gc = eval_Gn_contour(n, t, basis64, mu_const)
+            gc = mode_kernels(n, t, basis64, mu_const)[1]
             gs = eval_Gn_spectral(n, t, basis64, mu_const)
             worst = max(worst, abs(gc - gs) / abs(gc))
     report(1, worst <= 1e-6, "cross-method kernel agreement",
@@ -74,10 +75,8 @@ def test_02_contour_independence(basis64, mu_const):
                         ray_cutoff=alt.ray_cutoff)
     worst = 0.0
     for n in (1, 4, 16):
-        e1 = eval_En_contour(n, 1.0, basis64, mu_const, spec=spec1)
-        e2 = eval_En_contour(n, 1.0, basis64, mu_const, spec=spec2)
-        g1 = eval_Gn_contour(n, 1.0, basis64, mu_const, spec=spec1)
-        g2 = eval_Gn_contour(n, 1.0, basis64, mu_const, spec=spec2)
+        e1, g1 = mode_kernels(n, 1.0, basis64, mu_const, spec=spec1)
+        e2, g2 = mode_kernels(n, 1.0, basis64, mu_const, spec=spec2)
         worst = max(worst, abs(e1 - e2) / abs(e1), abs(g1 - g2) / abs(g1))
     report(2, worst <= 1e-8, "contour independence",
            f"worst rel diff {worst:.2e} across (eps, theta) pairs (tol 1e-8)",
@@ -86,7 +85,7 @@ def test_02_contour_independence(basis64, mu_const):
 
 def test_03_constant_order_consistency(basis64):
     t0 = time.time()
-    # in-repo evaluator against a 200-term high-precision series
+    # the reference evaluator against a 200-term high-precision series
     with mp.workdps(60):
         ref = float(sum(mp.mpf(-1.0) ** k * mp.rgamma(mp.mpf("0.5") * k + mp.mpf("0.5"))
                         for k in range(200)))
@@ -96,7 +95,7 @@ def test_03_constant_order_consistency(basis64):
     devs = []
     for h in (0.1, 0.05, 0.025, 0.02):
         w = make_box_weight(0.5, h)
-        devs.append(abs(eval_Gn_contour(1, 1.0, basis64, w) - ml))
+        devs.append(abs(mode_kernels(1, 1.0, basis64, w)[1] - ml))
     monotone = devs[0] > devs[1] > devs[2]
     ok = cross_ok and monotone and devs[3] <= 2e-2
     report(3, ok, "constant-order consistency",
@@ -124,7 +123,7 @@ def test_05_derivative_identity(basis64, mu_const):
     worst = 0.0
     for n in (1, 4):
         for t in (0.1, 1.0):
-            ident = dEn_dt(n, t, basis64, mu_const)
+            ident = -basis64.eigenvalues[n - 1] * mode_kernels(n, t, basis64, mu_const)[1]
             fd = dEn_dt_finite_difference(n, t, basis64, mu_const)
             worst = max(worst, abs(ident - fd) / abs(fd))
     report(5, worst <= 1e-4, "derivative identity",
@@ -136,10 +135,10 @@ def test_06_decay_exponents(basis64, mu_const):
     ts = np.logspace(-4, -2, 17)
     c_smooth = np.zeros(64)
     c_smooth[0] = 1.0
-    f1 = solve(ProblemSpec(mu_const, basis64, c_smooth, None, 1.0, gamma=1.0), ts)
+    f1 = solve(ProblemSpec(mu_const, basis64, c_smooth, None, 1.0), ts)
     slope1 = estimate_decay_exponent(f1, 1.0, (1e-4, 1e-2))
     c_rough = basis64.eigenvalues ** (-0.5 - 0.51)
-    f2 = solve(ProblemSpec(mu_const, basis64, c_rough, None, 1.0, gamma=0.5), ts)
+    f2 = solve(ProblemSpec(mu_const, basis64, c_rough, None, 1.0), ts)
     slope2 = estimate_decay_exponent(f2, 1.0, (1e-4, 1e-2))
     ok = slope1 >= -0.1 and slope2 >= -0.65
     report(6, ok, "decay exponents (one-sided)",

@@ -4,27 +4,29 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import dEn_dt_finite_difference
-from dodiff import make_box_weight, make_constant_weight, make_tapered_weight
+from conftest import (
+    _ml_asymptotic,
+    _ml_series,
+    dEn_dt_finite_difference,
+    mittag_leffler,
+    mode_kernels,
+)
+from dodiff import make_box_weight
 from dodiff.errors import DomainError, NumericError, PreconditionError
 from dodiff.kernel import (
     ContourSpec,
     KernelConfig,
     KernelTable,
+    _phi_on_cut,
     an_threshold,
     build_kernel_table,
     check_g0c,
     choose_contour,
-    dEn_dt,
-    eval_En_contour,
-    eval_Gn_contour,
     eval_Gn_spectral,
     eval_kernel_block,
     eval_kernel_row,
     eval_response_block,
     eval_spectral_block,
-    mittag_leffler,
-    phi_n,
     shared_contour,
     tail_bound_products,
 )
@@ -102,20 +104,20 @@ class TestChooseContour:
 
 class TestContourKernels:
     def test_En_constant_order_limit(self, basis64, box_half):
-        got = eval_En_contour(1, 1.0, basis64, box_half)
+        got = mode_kernels(1, 1.0, basis64, box_half)[0]
         ref = ml_reference(0.5, 1.0, -1.0)
         assert abs(got - ref) <= 2e-2
 
     def test_En_short_time_limit(self, basis64, const_weight, box_half):
-        assert eval_En_contour(1, 1e-6, basis64, const_weight) == pytest.approx(
+        assert mode_kernels(1, 1e-6, basis64, const_weight)[0] == pytest.approx(
             1.0, abs=1e-3)
         # the box kernel's true deviation from 1 is O(t^(alpha0 - h)), which
         # at t = 1e-6 sits right at 1.3e-3; one decade further down it is
         # comfortably inside the same envelope
-        assert eval_En_contour(1, 1e-8, basis64, box_half) == pytest.approx(
+        assert mode_kernels(1, 1e-8, basis64, box_half)[0] == pytest.approx(
             1.0, abs=1e-3)
-        gap6 = abs(eval_En_contour(1, 1e-6, basis64, box_half) - 1.0)
-        gap4 = abs(eval_En_contour(1, 1e-4, basis64, box_half) - 1.0)
+        gap6 = abs(mode_kernels(1, 1e-6, basis64, box_half)[0] - 1.0)
+        gap4 = abs(mode_kernels(1, 1e-4, basis64, box_half)[0] - 1.0)
         assert gap6 < gap4
 
     def test_contour_independence(self, basis64, const_weight, box_half, tapered):
@@ -134,14 +136,14 @@ class TestContourKernels:
                 assert np.max(np.abs(G1 - G2) / np.abs(G1)) <= 1e-8
 
     def test_Gn_constant_order_limit(self, basis64, box_half):
-        got = eval_Gn_contour(1, 1.0, basis64, box_half)
+        got = mode_kernels(1, 1.0, basis64, box_half)[1]
         ref = ml_reference(0.5, 0.5, -1.0)  # t^(a-1) E_{a,a}(-t^a) at t = 1
         assert abs(got - ref) <= 2e-2
 
     def test_Gn_positive(self, basis64, const_weight):
         for n in (1, 3, 16):
             for t in (1e-3, 0.1, 1.0, 20.0):
-                assert eval_Gn_contour(n, t, basis64, const_weight) > 0.0
+                assert mode_kernels(n, t, basis64, const_weight)[1] > 0.0
 
     def test_block_matches_rows(self, basis64, const_weight):
         times = np.logspace(-4, 1, 17)
@@ -172,32 +174,33 @@ class TestContourKernels:
         assert spec.epsilon <= 1.0
         assert np.exp(spec.ray_cutoff * 0.01 * np.cos(spec.theta)) <= 1e-16
 
-    def test_mode_index_guard(self, basis64, const_weight):
+    def test_mode_index_guard(self, basis64, const_weight, tapered):
         with pytest.raises(DomainError):
-            eval_En_contour(0, 1.0, basis64, const_weight)
+            check_g0c(0, basis64, tapered)
         with pytest.raises(DomainError):
-            eval_Gn_contour(65, 1.0, basis64, const_weight)
+            eval_Gn_spectral(65, 1.0, basis64, const_weight)
 
 
 class TestSpectralDensity:
     def test_phi_small_r_limit(self, basis64, const_weight):
-        val = phi_n(1, 1e-12, basis64, const_weight)
+        val = _phi_on_cut(basis64.eigenvalues[:1], [math.log(1e-12)], const_weight)[0, 0]
         assert 0.0 <= val <= 5e-3
 
     def test_phi_closed_form_at_one(self, basis64, const_weight):
         # N = int sin(pi a) da = 2/pi, D = int cos(pi a) da = 0, lambda_1 = 1
         ref = (2 / np.pi) / (1.0 + (2 / np.pi) ** 2)
-        assert phi_n(1, 1.0, basis64, const_weight) == pytest.approx(ref, rel=1e-12)
+        got = _phi_on_cut(basis64.eigenvalues[:1], [0.0], const_weight)[0, 0]
+        assert got == pytest.approx(ref, rel=1e-12)
 
     def test_phi_nonnegative_log_grid(self, basis64, const_weight, tapered):
         r = np.logspace(-6, 6, 49)
         for w in (const_weight, tapered):
-            assert np.all(phi_n(2, r, basis64, w) >= 0.0)
+            assert np.all(_phi_on_cut(basis64.eigenvalues[1:2], np.log(r), w) >= 0.0)
 
     def test_cross_method_agreement(self, basis64, const_weight):
         for n in (1, 4, 16):
             for t in (0.01, 0.1, 1.0, 10.0):
-                gc = eval_Gn_contour(n, t, basis64, const_weight)
+                gc = mode_kernels(n, t, basis64, const_weight)[1]
                 gs = eval_Gn_spectral(n, t, basis64, const_weight)
                 assert abs(gc - gs) <= 1e-6 * abs(gc)
 
@@ -254,7 +257,7 @@ class TestSpectralDensity:
 
 class TestDerivativeIdentity:
     def test_finite_difference_match(self, basis64, const_weight):
-        got = dEn_dt(1, 1.0, basis64, const_weight)
+        got = -basis64.eigenvalues[0] * mode_kernels(1, 1.0, basis64, const_weight)[1]
         ref = dEn_dt_finite_difference(1, 1.0, basis64, const_weight)
         assert abs(got - ref) <= 1e-4 * abs(ref)
 
@@ -262,13 +265,16 @@ class TestDerivativeIdentity:
         # mode 2 on (0, pi) has exactly twice the square root: lambda = 4;
         # the identity ties the derivative to its own eigenvalue linearly
         lam2 = basis64.eigenvalues[1]
-        got = dEn_dt(2, 0.7, basis64, const_weight)
-        assert got == pytest.approx(-lam2 * eval_Gn_contour(2, 0.7, basis64, const_weight))
+        assert lam2 == pytest.approx(4.0)
+        got = -lam2 * mode_kernels(2, 0.7, basis64, const_weight)[1]
+        _, G = eval_kernel_row(0.7, [4.0], const_weight)
+        assert got == pytest.approx(-4.0 * G[0])
 
     def test_sign(self, basis64, const_weight):
         for n in (1, 4):
             for t in (0.01, 0.5, 3.0):
-                assert dEn_dt(n, t, basis64, const_weight) < 0.0
+                lam = basis64.eigenvalues[n - 1]
+                assert -lam * mode_kernels(n, t, basis64, const_weight)[1] < 0.0
 
 
 class TestMittagLeffler:
@@ -292,7 +298,6 @@ class TestMittagLeffler:
                 ml_reference(alpha, beta, z, terms=800), rel=1e-9)
 
     def test_switchover_consistency(self):
-        from dodiff.kernel import _ml_asymptotic, _ml_series
         for alpha in (0.3, 0.4, 0.5):
             for beta in (alpha, 1.0, 1.5):
                 s = _ml_series(alpha, beta, -5.0)
@@ -388,7 +393,7 @@ class TestKernelTable:
         table = build_kernel_table(basis64, const_weight, times, modes=[1, 2, 4])
         assert table.E.shape == (3, 2) and np.all(table.G > 0.0)
         assert table.E[0, 1] == pytest.approx(
-            eval_En_contour(1, 1.0, basis64, const_weight), rel=1e-12)
+            mode_kernels(1, 1.0, basis64, const_weight)[0], rel=1e-12)
 
     def test_invariants(self):
         with pytest.raises(PreconditionError):
@@ -408,7 +413,7 @@ class TestDecayEnvelope:
         for n in (1, 2, 4, 8, 16):
             lam = basis64.eigenvalues[n - 1]
             for t in np.logspace(-3, 1, 9):
-                g = eval_Gn_contour(n, float(t), basis64, const_weight)
+                g = mode_kernels(n, float(t), basis64, const_weight)[1]
                 prods.append(lam ** kappa * t ** beta * abs(g))
         assert max(prods) <= 5.0
 
@@ -417,5 +422,5 @@ class TestDecayEnvelope:
         devs = []
         for h in (0.1, 0.05, 0.025):
             w = make_box_weight(0.5, h)
-            devs.append(abs(eval_Gn_contour(1, 1.0, basis64, w) - ref))
+            devs.append(abs(mode_kernels(1, 1.0, basis64, w)[1] - ref))
         assert devs[0] > devs[1] > devs[2]

@@ -2,42 +2,42 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from dodiff import make_box_weight, make_constant_weight
+from conftest import constant_coefficients, mittag_leffler
+from dodiff import make_box_weight
 from dodiff.errors import DomainError, PreconditionError
-from dodiff.kernel import mittag_leffler
 from dodiff.oracle import (
     GridField,
     OracleConfig,
     compare,
     effective_history_weights,
-    l1_weights,
+    order_nodes,
     solve_oracle,
 )
-from dodiff.spectral import constant_coefficients
 
 
 class TestL1Weights:
     def test_near_first_order_limit(self):
-        # at alpha -> 1 the scheme degenerates to backward differencing:
-        # b_0 * dt -> 1
-        b = l1_weights(0.999, 4, 0.01)
-        assert b[0] * 0.01 == pytest.approx(1.0, rel=1e-2)
+        # a density concentrated at alpha -> 1 degenerates the scheme to
+        # backward differencing: B_0 * dt -> 1
+        B = effective_history_weights(make_box_weight(0.999, 0.001), 4, 0.01)
+        assert B[0] * 0.01 == pytest.approx(1.0, rel=1e-2)
 
-    def test_direct_formula_value(self):
-        b = l1_weights(0.5, 3, 0.1)
-        assert b[0] == pytest.approx(0.1 ** -0.5 / gamma_fn(1.5), rel=1e-12)
-        assert b[0] == pytest.approx(3.5682, abs=2e-4)
+    def test_direct_formula_value(self, const_weight, box_half, tapered):
+        # the per-order L1 weights with scipy's gamma, contracted with the
+        # density at the same order nodes
+        j = np.arange(50.0)
+        for w in (const_weight, box_half, tapered):
+            al, wts = order_nodes(w, 32)
+            b = ((j + 1.0) ** (1.0 - al[:, None]) - j ** (1.0 - al[:, None])) \
+                * 0.02 ** (-al[:, None]) / gamma_fn(2.0 - al)[:, None]
+            B = effective_history_weights(w, 50, 0.02)
+            assert np.all(np.abs(B - wts @ b) <= 1e-13 * np.abs(B))
 
-    def test_positive_decreasing(self):
-        for alpha in (0.2, 0.5, 0.8):
-            b = l1_weights(alpha, 50, 0.02)
-            assert np.all(b > 0.0)
-            assert np.all(np.diff(b) < 0.0)
-
-    def test_endpoint_orders_rejected(self):
-        for alpha in (0.0, 1.0, -0.2, 1.3):
-            with pytest.raises(DomainError):
-                l1_weights(alpha, 4, 0.1)
+    def test_positive_decreasing(self, const_weight, box_half, tapered):
+        for w in (const_weight, box_half, tapered):
+            B = effective_history_weights(w, 50, 0.02)
+            assert np.all(B > 0.0)
+            assert np.all(np.diff(B) < 0.0)
 
     def test_effective_weights_constant_density(self, const_weight):
         # for mu = 1 the effective weights are the order-average of the

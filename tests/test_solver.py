@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import mittag_leffler, mode_kernels
 from dodiff import kernel, solver
-from dodiff import make_box_weight, make_constant_weight
+from dodiff import make_box_weight
 from dodiff.errors import DomainError, NumericError, PreconditionError
-from dodiff.kernel import (
-    eval_Gn_contour,
-    eval_kernel_block,
-    eval_response_block,
-    mittag_leffler,
-)
+from dodiff.kernel import eval_kernel_block, eval_response_block
 from dodiff.solver import (
     DUHAMEL_NODES,
     ProblemSpec,
@@ -17,11 +13,9 @@ from dodiff.solver import (
     duhamel,
     duhamel_mesh,
     estimate_decay_exponent,
-    propagate_homogeneous,
-    sobolev_norm_path,
     solve,
 )
-from dodiff.spectral import build_exact_dirichlet, fractional_norm
+from dodiff.spectral import build_exact_dirichlet
 
 
 def unit_mode(n_modes, n=1):
@@ -47,16 +41,18 @@ def narrow_bump(n_modes, width=1e-4):
     return source
 
 
-def homogeneous_problem(w, basis, c0=None, horizon=2.0, gamma=None):
+def homogeneous_problem(w, basis, c0=None, horizon=2.0):
     c0 = unit_mode(basis.n_modes) if c0 is None else c0
     return ProblemSpec(weight=w, basis=basis, initial_coeffs=c0, source=None,
-                       horizon=horizon, gamma=gamma)
+                       horizon=horizon)
 
 
 class TestPropagateHomogeneous:
+    """S0(t) u0: ``solve`` of a source-free problem at one time."""
+
     def test_diagonal_action(self, basis16, const_weight):
         prob = homogeneous_problem(const_weight, basis16)
-        c = propagate_homogeneous(prob, 0.7)
+        c = solve(prob, [0.7]).coeffs[0]
         E, _ = eval_kernel_block([0.7], basis16.eigenvalues, const_weight)
         assert c[0] == pytest.approx(E[0, 0], rel=1e-12)
         assert np.all(c[1:] == 0.0)
@@ -64,19 +60,19 @@ class TestPropagateHomogeneous:
     def test_zero_state(self, basis16, const_weight):
         prob = homogeneous_problem(const_weight, basis16,
                                    c0=np.zeros(basis16.n_modes))
-        assert np.all(propagate_homogeneous(prob, 1.0) == 0.0)
+        assert np.all(solve(prob, [1.0]).coeffs[0] == 0.0)
 
     def test_constant_order_limit(self, basis16, box_half):
         prob = homogeneous_problem(box_half, basis16)
-        c = propagate_homogeneous(prob, 1.0)
+        c = solve(prob, [1.0]).coeffs[0]
         assert abs(c[0] - mittag_leffler(0.5, 1.0, -1.0)) <= 2e-2
 
     def test_domain(self, basis16, const_weight):
         prob = homogeneous_problem(const_weight, basis16)
         with pytest.raises(DomainError):
-            propagate_homogeneous(prob, 0.0)
+            solve(prob, [0.0])
         with pytest.raises(DomainError):
-            propagate_homogeneous(prob, 3.0)
+            solve(prob, [3.0])
 
 
 class TestDuhamel:
@@ -92,7 +88,7 @@ class TestDuhamel:
                            initial_coeffs=np.zeros(16), source=narrow_bump(16),
                            horizon=2.0)
         got = duhamel(prob, [1.0], n_nodes=32768)[0]
-        ref = eval_Gn_contour(1, 0.01, basis16, box_half)
+        ref = mode_kernels(1, 0.01, basis16, box_half)[1]
         assert abs(got[0] - ref) <= 1e-3 * abs(ref)
         assert np.max(np.abs(got[1:])) <= 1e-12 * abs(ref)
 
@@ -306,21 +302,6 @@ class TestSolve:
         with pytest.raises(PreconditionError):
             SolutionField(times=[0.5], coeffs=np.full((1, 16), np.nan), basis=basis16)
 
-    def test_truncation_tail_bound(self, basis16, const_weight):
-        from dodiff.solver import homogeneous_tail_bound
-        smooth = homogeneous_problem(const_weight, basis16, gamma=1.0)
-        rough = homogeneous_problem(const_weight, basis16, gamma=0.5)
-        # smooth data: bound is time-uniform; rough data blows up as t -> 0
-        assert homogeneous_tail_bound(smooth, 0.01) == \
-            pytest.approx(homogeneous_tail_bound(smooth, 1.0))
-        assert homogeneous_tail_bound(rough, 0.01) > \
-            homogeneous_tail_bound(rough, 1.0)
-        # the truncation edge enters through the last eigenvalue
-        small = homogeneous_problem(const_weight, build_exact_dirichlet(np.pi, 4),
-                                    c0=unit_mode(4), gamma=0.5)
-        assert homogeneous_tail_bound(small, 1.0) > \
-            homogeneous_tail_bound(rough, 1.0)
-
 
 class TestCrossRoute:
     """Spectral solve against the time-stepping reference on a
@@ -352,38 +333,6 @@ class TestCrossRoute:
         assert np.max(compare(f2s, f2o, [0.5, 1.0])) <= 5e-3
 
 
-class TestNormPath:
-    def test_zero_field(self, basis16, const_weight):
-        field = SolutionField(times=[0.5, 1.0], coeffs=np.zeros((2, 16)),
-                              basis=basis16)
-        assert sobolev_norm_path(field, 0.5, 1.0) == 0.0
-
-    def test_stationary_single_mode(self, basis16):
-        ts = np.linspace(0.0, 1.0, 41)
-        coeffs = np.zeros((41, 16))
-        coeffs[:, 0] = 1.0
-        field = SolutionField(times=ts, coeffs=coeffs, basis=basis16)
-        assert sobolev_norm_path(field, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_matches_direct_summation(self, basis16, const_weight):
-        prob = homogeneous_problem(const_weight, basis16,
-                                   c0=np.ones(16) / 4.0)
-        ts = np.linspace(0.1, 1.0, 19)
-        field = solve(prob, ts)
-        got = sobolev_norm_path(field, 0.5, 1.0)
-        lam = basis16.eigenvalues
-        norms = np.sqrt((lam * field.coeffs ** 2).sum(axis=1))
-        ref = np.trapezoid(norms, ts)
-        assert got == pytest.approx(ref, rel=1e-6)
-
-    def test_integrability_warning(self, basis16):
-        ts = np.linspace(0.1, 1.0, 5)
-        coeffs = np.ones((5, 16))
-        field = SolutionField(times=ts, coeffs=coeffs, basis=basis16)
-        with pytest.warns(UserWarning, match="integrability"):
-            sobolev_norm_path(field, 0.5, 4.0, alpha0=0.5)
-
-
 class TestDecayExponent:
     def test_exact_power_law(self, basis16):
         ts = np.logspace(-3, -1, 25)
@@ -394,7 +343,7 @@ class TestDecayExponent:
         assert got == pytest.approx(-0.3, abs=1e-6)
 
     def test_smooth_data_flat(self, basis16, const_weight):
-        prob = homogeneous_problem(const_weight, basis16, gamma=1.0)
+        prob = homogeneous_problem(const_weight, basis16)
         ts = np.logspace(-4, -2, 15)
         field = solve(prob, ts)
         slope = estimate_decay_exponent(field, 1.0, (1e-4, 1e-2))
@@ -403,7 +352,7 @@ class TestDecayExponent:
     def test_rough_data_one_sided(self, basis16, const_weight):
         lam = basis16.eigenvalues
         c0 = lam ** (-0.5 - 0.51)
-        prob = homogeneous_problem(const_weight, basis16, c0=c0, gamma=0.5)
+        prob = homogeneous_problem(const_weight, basis16, c0=c0)
         ts = np.logspace(-4, -2, 15)
         field = solve(prob, ts)
         slope = estimate_decay_exponent(field, 1.0, (1e-4, 1e-2))

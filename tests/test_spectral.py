@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import constant_coefficients
 from dodiff.errors import DomainError, PreconditionError
 from dodiff.spectral import (
     EllipticCoefficients,
     build_exact_dirichlet,
     build_fd,
     coefficients_from_text,
-    constant_coefficients,
-    export_eigenvalues_csv,
-    export_eigenvectors_txt,
     fractional_norm,
     project,
     synthesize,
@@ -149,24 +147,8 @@ class TestFractionalNorm:
 
 
 class TestExports:
-    def test_eigenvalue_csv(self):
-        basis = build_exact_dirichlet(np.pi, 3)
-        text = export_eigenvalues_csv(basis)
-        lines = text.strip().splitlines()
-        assert lines[0] == "n,lambda"
-        assert lines[1].startswith("1,")
-        assert float(lines[3].split(",")[1]) == pytest.approx(9.0)
-
-    def test_eigenvector_txt_parses(self):
-        basis = build_exact_dirichlet(np.pi, 3, grid_points=33)
-        text = export_eigenvectors_txt(basis)
-        mat = np.loadtxt(text.splitlines())
-        assert mat.shape == (33, 4)
-        assert np.allclose(mat[:, 0], basis.grid)
-        assert np.allclose(mat[:, 1:].T, basis.eigenvectors)
-
     def test_coefficients_from_text(self):
-        c = coefficients_from_text("1 0 0.5", 5)
+        c = coefficients_from_text("1 0 0.5", 5, "problem.u0")
         assert np.allclose(c, [1, 0, 0.5, 0, 0])
-        with pytest.raises(PreconditionError):
-            coefficients_from_text("1 2 3", 2)
+        with pytest.raises(PreconditionError, match="problem.u0"):
+            coefficients_from_text("1 2 3", 2, "problem.u0")

@@ -11,13 +11,11 @@ from dodiff import (
     PreconditionError,
     WeightFunction,
     check_symbol_bounds,
-    eval_mu,
     eval_sw,
     eval_w,
     make_box_weight,
     make_constant_weight,
     make_tapered_weight,
-    vartheta_env,
     zeta_env,
     zeta_inv,
 )
@@ -38,26 +36,22 @@ def quad_oracle_sw(w, s, offset=0.0):
 
 class TestEvalMu:
     def test_constant(self, const_weight):
-        assert eval_mu(const_weight, 0.5) == pytest.approx(1.0)
+        assert const_weight._eval_many([0.5])[0] == pytest.approx(1.0)
 
     def test_box_outside(self):
         w = make_box_weight(0.75, 0.5)  # density 2 on [0.25, 0.75]
-        assert eval_mu(w, 0.1) == 0.0
+        assert w._eval_many([0.1])[0] == 0.0
 
     def test_box_inside(self):
         w = make_box_weight(0.75, 0.5)
-        assert eval_mu(w, 0.5) == pytest.approx(2.0)
+        assert w._eval_many([0.5])[0] == pytest.approx(2.0)
 
     def test_breakpoint_right_limit(self):
         w = make_box_weight(0.75, 0.5)
         # at the lower breakpoint the right-hand piece applies
-        assert eval_mu(w, 0.25) == pytest.approx(2.0)
+        assert w._eval_many([0.25])[0] == pytest.approx(2.0)
         # at the upper breakpoint the zero tail applies
-        assert eval_mu(w, 0.75) == 0.0
-
-    def test_domain(self, const_weight):
-        with pytest.raises(DomainError):
-            eval_mu(const_weight, 1.5)
+        assert w._eval_many([0.75])[0] == 0.0
 
 
 class TestSymbol:
@@ -118,8 +112,8 @@ class TestEnvelopes:
         assert zeta_env(np.e) == pytest.approx(np.e - 1.0)
 
     def test_vartheta_at_two(self):
-        assert vartheta_env(2.0) == pytest.approx(zeta_env(2.0) / 2.0)
-        assert vartheta_env(2.0) == pytest.approx(0.7213475204, rel=1e-9)
+        # vartheta(r) = zeta(r)/r
+        assert zeta_env(2.0) / 2.0 == pytest.approx(0.7213475204, rel=1e-9)
 
     def test_series_fallback_continuity(self):
         for x in (1e-7, -1e-7, 1e-6, -3e-7):
@@ -129,8 +123,6 @@ class TestEnvelopes:
     def test_domain(self):
         with pytest.raises(DomainError):
             zeta_env(0.0)
-        with pytest.raises(DomainError):
-            vartheta_env(-1.0)
 
     @given(st.floats(min_value=-13.0, max_value=13.0),
            st.floats(min_value=1e-4, max_value=13.0))
@@ -139,7 +131,7 @@ class TestEnvelopes:
         r1 = np.exp(logr)
         r2 = np.exp(logr + gap)
         assert zeta_env(r1) < zeta_env(r2)
-        assert vartheta_env(r1) > vartheta_env(r2)
+        assert zeta_env(r1) / r1 > zeta_env(r2) / r2
 
     def test_zeta_inv_roundtrip(self):
         for y in (0.01, 0.2, 1.0, 37.0, 1e6):
@@ -159,7 +151,7 @@ class TestEnvelopes:
                 for b in betas:
                     s = r * np.exp(1j * b)
                     assert abs(eval_sw(w, s)) <= w.sup_norm * zeta_env(r) * (1 + 1e-12)
-                    assert abs(eval_w(w, s)) <= w.sup_norm * vartheta_env(r) * (1 + 1e-12)
+                    assert abs(eval_w(w, s)) <= w.sup_norm * zeta_env(r) / r * (1 + 1e-12)
 
 
 class TestSymbolBounds:
@@ -252,8 +244,8 @@ class TestSymbolBounds:
 class TestBoxWeight:
     def test_normalization(self):
         w = make_box_weight(0.5, 0.1)
-        assert eval_mu(w, 0.45) == pytest.approx(10.0)
-        assert eval_mu(w, 0.3) == 0.0
+        assert w._eval_many([0.45])[0] == pytest.approx(10.0)
+        assert w._eval_many([0.3])[0] == 0.0
         assert eval_w(w, 1.0) == pytest.approx(1.0, abs=1e-13)
 
     def test_certificate(self):
@@ -292,9 +284,22 @@ class TestInvariantsAndSerialization:
                            alpha0=0.5, delta=0.2, mu_at_alpha0=1.0, sup_norm=1.0,
                            alpha1=0.8)
 
+    # piecewise [weight] bodies of the tapered, box and constant fixtures
+    BODIES = (
+        {"type": "piecewise", "breakpoints": "0.0 0.75 0.8 1.0",
+         "coeffs": "1.0 ; 15.999999999999986 -19.999999999999982 ; 0.0",
+         "alpha0": "0.75", "delta": "0.5", "mu_at_alpha0": "1.0",
+         "sup_norm": "1.0", "alpha1": "0.8"},
+        {"type": "piecewise", "breakpoints": "0.0 0.48 0.5 1.0",
+         "coeffs": "0.0 ; 50.0 ; 0.0", "alpha0": "0.5", "delta": "0.02",
+         "mu_at_alpha0": "50.0", "sup_norm": "50.0", "alpha1": "0.75"},
+        {"type": "piecewise", "breakpoints": "0.0 1.0", "coeffs": "1.0",
+         "alpha0": "0.5", "delta": "0.25", "mu_at_alpha0": "1.0",
+         "sup_norm": "1.0"},
+    )
+
     def test_roundtrip(self, tapered, box_half, const_weight):
-        for w in (tapered, box_half, const_weight):
-            body = w.to_mapping()
+        for w, body in zip((tapered, box_half, const_weight), self.BODIES):
             back = wt.weight_from_mapping(body)
             grid = np.linspace(0, 1, 321)
             assert np.allclose(back._eval_many(grid), w._eval_many(grid), atol=1e-15)
