@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -173,6 +174,13 @@ def parse_config(text: str, overrides: dict | None = None) -> ProblemBundle:
     elliptic = sp.EllipticCoefficients(a=a_fn, q=q_fn, c_a=c_a, length=length)
     M = _number(op, "operator.m", "201", int)
     if kind == "dirichlet":
+        # the closed-form sine basis is that of -u'': it would silently drop
+        # a and q, which the oracle does step with
+        for key in ("a", "q"):
+            if key in op:
+                raise PreconditionError(
+                    f"operator.{key} is not read by kind = dirichlet (the sine "
+                    f"basis of -u''); use kind = fd for a variable operator")
         basis = sp.build_exact_dirichlet(length, n_modes,
                                          grid_points=max(1025, n_modes + 2))
     elif kind == "fd":
@@ -200,7 +208,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ProblemBundle:
     if u0_spec.startswith("modes:"):
         c0 = sp.coefficients_from_text(u0_spec.split(":", 1)[1], n_modes,
                                        "problem.u0")
-        u0_fn = (lambda c: (lambda x: _synth_on(basis, c, x)))(c0)
+        u0_fn = _synth_on(basis, c0)
     elif u0_spec.startswith("profile:"):
         name = u0_spec.split(":", 1)[1].strip()
         if name not in profile_fns:
@@ -217,7 +225,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ProblemBundle:
         g = sp.coefficients_from_text(src_spec.split(":", 1)[1], n_modes,
                                       "problem.source")
         src_coeffs = (lambda gg: (lambda t: gg))(g)
-        src_profile = (lambda gg: (lambda t, x: _synth_on(basis, gg, x)))(g)
+        g_on = _synth_on(basis, g)
+        src_profile = lambda t, x: g_on(x)
     else:
         raise PreconditionError(f"problem.source descriptor {src_spec!r} not recognized")
 
@@ -246,9 +255,11 @@ def parse_config(text: str, overrides: dict | None = None) -> ProblemBundle:
                          kappas=kappas, grid_points=M, numerics=numerics)
 
 
-def _synth_on(basis, coeffs, x):
-    vals = sp.synthesize(basis, coeffs)
-    return np.interp(np.asarray(x, dtype=float), basis.grid, vals)
+def _synth_on(basis, coeffs):
+    """x -> the field of ``coeffs`` interpolated at x, synthesized on the
+    basis grid once, at the first call."""
+    values = functools.cache(lambda: sp.synthesize(basis, coeffs))
+    return lambda x: np.interp(np.asarray(x, dtype=float), basis.grid, values())
 
 
 def provenance_lines(run: RunConfig, config_text: str) -> list[str]:

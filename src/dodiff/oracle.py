@@ -13,8 +13,20 @@ spectral module, and each implicit step solves
 
     (B_0 I + A_h) u^k = B_0 u^(k-1) - sum_{j>=1} B_j (u^(k-j) - u^(k-j-1)) + F^k
 
-by banded elimination.  This route shares nothing with the contour kernels,
-which is the point: it is the brute-force cross-check for solution values.
+with one LU factorization of the tridiagonal B_0 I + A_h (LAPACK dgttrf,
+partial pivoting), made once per solve and reused by every step (dgttrs).
+
+The history sum is taken in blocks of HISTORY_BLOCK steps.  At the start of
+a block, the part of every step's sum that reads differences older than the
+block is one matrix product: Toeplitz rows of B times those differences.
+Each step inside the block then adds only its near terms, at most
+HISTORY_BLOCK - 1 of them.  This is the same sum as re-summing the whole
+history at every step, only rearranged: nothing is approximated, and the
+work is still O(K^2 M), but the old differences are read once per block
+through BLAS-3 rather than once per step.
+
+This route shares nothing with the contour kernels, which is the point: it
+is the brute-force cross-check for solution values.
 
 Strictly sequential in time; independent problems may run concurrently.
 """
@@ -26,11 +38,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DomainError, NumericError, PreconditionError
 from .spectral import EllipticCoefficients
 from .weight import WeightFunction
+
+# steps per history block (see the module docstring)
+HISTORY_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -101,44 +117,62 @@ def solve_oracle(coeffs: EllipticCoefficients, w: WeightFunction,
                  source: Callable[[float, np.ndarray], np.ndarray] | None,
                  cfg: OracleConfig) -> GridField:
     """March the implicit order-averaged L1 scheme over the full horizon."""
-    M = cfg.grid_points
+    M, K = cfg.grid_points, cfg.steps
     x = np.linspace(0.0, coeffs.length, M)
     h = x[1] - x[0]
     xm = 0.5 * (x[:-1] + x[1:])
+    xi = x[1:-1]
     am = np.broadcast_to(np.asarray(coeffs.a(xm), dtype=float), xm.shape)
-    qv = np.broadcast_to(np.asarray(coeffs.q(x[1:-1]), dtype=float), x[1:-1].shape)
+    qv = np.broadcast_to(np.asarray(coeffs.q(xi), dtype=float), xi.shape)
     diag = (am[:-1] + am[1:]) / h ** 2 + qv
     off = -am[1:-1] / h ** 2
 
-    B = effective_history_weights(w, cfg.steps, cfg.dt, cfg.alpha_nodes)
+    B = effective_history_weights(w, K, cfg.dt, cfg.alpha_nodes)
     if B[0] <= 0.0:
         raise NumericError("effective implicit weight is not positive")
+    B_rev = B[::-1].copy()  # B_rev[K-1-j] = B_j
 
-    # banded storage of (B_0 I + A_h) for the repeated implicit solves
-    ab = np.zeros((3, M - 2))
-    ab[0, 1:] = off
-    ab[1] = diag + B[0]
-    ab[2, :-1] = off
+    # one LU factorization (partial pivoting) of B_0 I + A_h for every step
+    *lu, info = dgttrf(off, diag + B[0], off)
+    if info != 0:
+        raise NumericError(f"factorizing B_0 I + A_h failed: dgttrf info = {info}")
 
-    u = np.empty((cfg.steps + 1, M))
+    u = np.empty((K + 1, M))
     u[0] = np.asarray(u0(x), dtype=float)
-    u[0, 0] = u[0, -1] = 0.0
-    diffs = np.zeros((cfg.steps + 1, M - 2))
+    u[:, 0] = u[:, -1] = 0.0
+    diffs = np.zeros((K + 1, M - 2))  # diffs[j] = u^j - u^(j-1), interior
 
-    for k in range(1, cfg.steps + 1):
-        rhs = B[0] * u[k - 1, 1:-1]
-        if k > 1:
-            rhs -= B[k - 1:0:-1] @ diffs[1:k]
-        if source is not None:
-            rhs += np.asarray(source(k * cfg.dt, x[1:-1]), dtype=float)
-        interior = solve_banded((1, 1), ab, rhs)
-        if not np.all(np.isfinite(interior)):
-            raise NumericError(f"implicit solve produced non-finite values at step {k}")
-        u[k, 1:-1] = interior
-        u[k, 0] = u[k, -1] = 0.0
-        diffs[k] = interior - u[k - 1, 1:-1]
+    # in block k0, toeplitz[r, K-k0+1:] holds B_(k0+r-1), ..., B_(r+1): the
+    # weights of diffs[1:k0] at step k0 + r.  Those of the next block are the
+    # same columns with HISTORY_BLOCK new ones in front, so each block fills
+    # only its new columns
+    toeplitz = np.empty((HISTORY_BLOCK, K))
+    windows = sliding_window_view(B_rev, min(HISTORY_BLOCK, K))
+    for k0 in range(1, K + 1, HISTORY_BLOCK):
+        b = min(HISTORY_BLOCK, K + 1 - k0)
+        start = K - k0 + 1
+        if k0 > 1:
+            toeplitz[:b, start:start + HISTORY_BLOCK] = windows[start - b:start][::-1]
+        # the history older than the block, for all of its steps at once
+        old = toeplitz[:b, start:] @ diffs[1:k0]
+        for r in range(b):
+            k = k0 + r
+            prev = u[k - 1, 1:-1]
+            rhs = u[k, 1:-1]  # dgttrs overwrites it with the solution
+            np.subtract(B[0] * prev, old[r], out=rhs)
+            if r:
+                # the block's own differences: B_r, ..., B_1 against diffs[k0:k]
+                rhs -= B_rev[K - 1 - r:K - 1] @ diffs[k0:k]
+            if source is not None:
+                rhs += np.asarray(source(k * cfg.dt, xi), dtype=float)
+            _, info = dgttrs(*lu, rhs, overwrite_b=1)
+            if info != 0:
+                raise NumericError(f"implicit solve failed at step {k}: dgttrs info = {info}")
+            if not np.isfinite(rhs).all():
+                raise NumericError(f"implicit solve produced non-finite values at step {k}")
+            np.subtract(rhs, prev, out=diffs[k])
 
-    times = cfg.dt * np.arange(cfg.steps + 1)
+    times = cfg.dt * np.arange(K + 1)
     return GridField(times=times, grid=x, values=u)
 
 

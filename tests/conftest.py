@@ -3,11 +3,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from scipy.special import rgamma
 
 from dodiff import make_box_weight, make_constant_weight, make_tapered_weight
 from dodiff.errors import DomainError, NumericError
 from dodiff.kernel import eval_kernel_block
+from dodiff.oracle import GridField, effective_history_weights
 from dodiff.spectral import EllipticCoefficients, build_exact_dirichlet
 
 
@@ -32,6 +34,43 @@ def constant_coefficients(a: float = 1.0, q: float = 0.0, length: float = np.pi,
                                 q=lambda x: np.full_like(np.asarray(x, float), q),
                                 c_a=a if c_a is None else c_a,
                                 length=length)
+
+
+def direct_oracle(coeffs, w, u0, source, cfg) -> GridField:
+    """The oracle's scheme stepped directly: every step re-sums its whole
+    L1 history as one matrix-vector product and solves the tridiagonal
+    system by banded elimination.  The reference for the blocked history
+    and the single factorization of ``solve_oracle``."""
+    M = cfg.grid_points
+    x = np.linspace(0.0, coeffs.length, M)
+    h = x[1] - x[0]
+    xm = 0.5 * (x[:-1] + x[1:])
+    am = np.broadcast_to(np.asarray(coeffs.a(xm), dtype=float), xm.shape)
+    qv = np.broadcast_to(np.asarray(coeffs.q(x[1:-1]), dtype=float), x[1:-1].shape)
+    diag = (am[:-1] + am[1:]) / h ** 2 + qv
+    off = -am[1:-1] / h ** 2
+
+    B = effective_history_weights(w, cfg.steps, cfg.dt, cfg.alpha_nodes)
+    ab = np.zeros((3, M - 2))
+    ab[0, 1:] = off
+    ab[1] = diag + B[0]
+    ab[2, :-1] = off
+
+    u = np.empty((cfg.steps + 1, M))
+    u[0] = np.asarray(u0(x), dtype=float)
+    u[0, 0] = u[0, -1] = 0.0
+    diffs = np.zeros((cfg.steps + 1, M - 2))
+    for k in range(1, cfg.steps + 1):
+        rhs = B[0] * u[k - 1, 1:-1]
+        if k > 1:
+            rhs -= B[k - 1:0:-1] @ diffs[1:k]
+        if source is not None:
+            rhs += np.asarray(source(k * cfg.dt, x[1:-1]), dtype=float)
+        interior = solve_banded((1, 1), ab, rhs)
+        u[k, 1:-1] = interior
+        u[k, 0] = u[k, -1] = 0.0
+        diffs[k] = interior - u[k - 1, 1:-1]
+    return GridField(times=cfg.dt * np.arange(cfg.steps + 1), grid=x, values=u)
 
 
 # --- Mittag-Leffler reference ------------------------------------------------

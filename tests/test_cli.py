@@ -168,6 +168,19 @@ class TestConfigErrors:
         with pytest.raises(PreconditionError, match=f"unknown config key {section}.{key}"):
             cli.parse_config(doc)
 
+    @pytest.mark.parametrize("kind", ["kind = dirichlet\n", ""],
+                             ids=["explicit", "default"])
+    @pytest.mark.parametrize("key", ["a", "q"])
+    def test_dirichlet_rejects_coefficients(self, key, kind, tmp_path, capsys):
+        # the sine basis is that of -u''; a and q would reach the oracle only
+        doc = MINIMAL + f"\n[operator]\n{kind}{key} = 2\nn = 16\n"
+        with pytest.raises(PreconditionError, match=f"operator.{key} .*kind = fd"):
+            cli.parse_config(doc)
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(doc)
+        rc = cli.main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1 and f"operator.{key}" in capsys.readouterr().err
+
     def test_override_keys(self):
         with pytest.raises(PreconditionError, match="numerics.stesp"):
             cli.parse_config(MINIMAL, overrides=cli._parse_overrides(["numerics.stesp=5"]))

@@ -1,11 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from conftest import constant_coefficients, mittag_leffler
+from conftest import constant_coefficients, direct_oracle, mittag_leffler
 from dodiff import make_box_weight
-from dodiff.errors import DomainError, PreconditionError
+from dodiff.errors import DomainError, NumericError, PreconditionError
 from dodiff.oracle import (
+    HISTORY_BLOCK,
     GridField,
     OracleConfig,
     compare,
@@ -13,6 +16,7 @@ from dodiff.oracle import (
     order_nodes,
     solve_oracle,
 )
+from dodiff.spectral import EllipticCoefficients
 
 
 class TestL1Weights:
@@ -117,6 +121,47 @@ class TestSolveOracle:
             OracleConfig(dt=-0.1, steps=10, grid_points=11)
         with pytest.raises(PreconditionError):
             OracleConfig(dt=0.1, steps=10, grid_points=2)
+
+
+class TestBlockedHistory:
+    """The blocked history and the single factorization reproduce the
+    direct per-step sum of ``conftest.direct_oracle``."""
+
+    @pytest.mark.parametrize("steps", [1, HISTORY_BLOCK - 1, HISTORY_BLOCK,
+                                       HISTORY_BLOCK + 1, 2000])
+    @pytest.mark.parametrize("weight", ["const_weight", "box_half", "tapered"])
+    def test_matches_direct_sum(self, weight, steps, request):
+        w = request.getfixturevalue(weight)
+        variable = EllipticCoefficients(a=lambda x: 1.0 + x / 2.0,
+                                        q=lambda x: np.full_like(x, 0.1),
+                                        c_a=1.0, length=np.pi)
+        cfg = OracleConfig(dt=1.0 / steps, steps=steps, grid_points=41)
+        for coeffs, source in ((constant_coefficients(), None),
+                               (variable, lambda t, x: (1.0 + t) * np.sin(x))):
+            got = solve_oracle(coeffs, w, np.sin, source, cfg).values
+            ref = direct_oracle(coeffs, w, np.sin, source, cfg).values
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("bad_step", [3, HISTORY_BLOCK + 6])
+    def test_non_finite_source_names_step(self, const_weight, bad_step):
+        dt = 0.01
+
+        def source(t, x):
+            return np.full_like(x, np.nan if round(t / dt) == bad_step else 0.0)
+
+        cfg = OracleConfig(dt=dt, steps=2 * HISTORY_BLOCK, grid_points=21)
+        with pytest.raises(NumericError, match=f"non-finite values at step {bad_step}$"):
+            solve_oracle(constant_coefficients(), const_weight, np.sin, source, cfg)
+
+    def test_singular_operator_rejected(self, const_weight):
+        # a = 0 and q = -B_0 make B_0 I + A_h the zero matrix; validated
+        # coefficients cannot reach this, so they are passed unvalidated
+        cfg = OracleConfig(dt=0.01, steps=4, grid_points=11)
+        b0 = effective_history_weights(const_weight, 4, 0.01)[0]
+        coeffs = SimpleNamespace(a=lambda x: np.zeros_like(x),
+                                 q=lambda x: np.full_like(x, -b0), length=1.0)
+        with pytest.raises(NumericError, match="dgttrf info = 1"):
+            solve_oracle(coeffs, const_weight, np.sin, None, cfg)
 
 
 class TestCompare:
