@@ -16,6 +16,7 @@ import functools
 import operator
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -150,9 +151,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ProblemBundle:
     quad_order, duhamel_nodes, seed, theta, dt, steps, alpha_nodes.  Keys
     are case-insensitive; any other section or key is rejected.
     """
-    sections = textio.parse_document(text)
-    for name, body in (overrides or {}).items():
-        sections.setdefault(name, {}).update(body)
+    sections = textio.parse_document(text, overrides)
     for name, body in sections.items():
         if name == "weight":
             continue
@@ -263,10 +262,13 @@ def _synth_on(basis, coeffs):
 
 
 def provenance_lines(run: RunConfig, config_text: str) -> list[str]:
+    # the hash is that of the document as parsed, after the overrides (which
+    # apply only where a config is read)
+    overrides = run.overrides if run.config_path else None
     return [
         f"dodiff {__version__}",
         f"subcommand = {run.subcommand}",
-        f"config_sha256 = {textio.document_hash(config_text)}",
+        f"config_sha256 = {textio.document_hash(config_text, overrides)}",
         f"seed = {run.seed}",
         f"tolerance_version = {vf.TOLERANCE_VERSION}",
     ]
@@ -298,11 +300,15 @@ def _cmd_kernel(run: RunConfig, bundle: ProblemBundle, prov: list[str]) -> int:
 
 
 def _field_csv(path: Path, field, times, prov: list[str]) -> None:
-    """(t, x, u) rows of a solver or oracle field at the output times."""
-    rows = []
+    """(t, x, u) rows of a solver or oracle field at the output times.  The
+    field has one grid for every time: it is formatted once, each t once per
+    time and u in one sweep per time."""
+    rows, xs = [], None
     for t in times:
         x, u = field.sample(float(t))
-        rows.extend([float(t), float(xi), float(ui)] for xi, ui in zip(x, u))
+        if xs is None:
+            xs = list(map(repr, x.tolist()))
+        rows.extend(zip(repeat(repr(float(t))), xs, map(repr, u.tolist())))
     textio.write_csv(path, ["t", "x", "u"], rows, comments=prov)
 
 

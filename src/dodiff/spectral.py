@@ -97,8 +97,10 @@ class SpectralBasis:
         return wts
 
     def gram(self) -> np.ndarray:
-        v = self.eigenvectors * self.inner_weights()
-        return v @ self.eigenvectors.T
+        # s @ s.T is one symmetric rank-k update (syrk): half the multiplies
+        # of a general product
+        s = self.eigenvectors * np.sqrt(self.inner_weights())
+        return s @ s.T
 
 
 def build_exact_dirichlet(L: float, N: int, grid_points: int = 1025) -> SpectralBasis:

@@ -3,7 +3,9 @@
 Documents are INI-style sections of ``key = value`` lines.  Numeric arrays
 are whitespace- or comma-separated; groups of arrays (one per polynomial
 piece) are joined with ``;``.  Floats are always written with ``repr``
-round-trip precision so that identical inputs produce byte-identical files.
+round-trip precision so that identical inputs produce byte-identical files;
+a CSV cell that is already a str is written as given, so a caller may format
+a column once and reuse it.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ def parse_array_groups(text: str, name: str) -> list[np.ndarray]:
     return [parse_array(part, name) for part in text.split(";")]
 
 
-def parse_document(text: str) -> dict[str, dict[str, str]]:
-    """Parse an INI-style document into ``{section: {key: value}}``.
+def parse_document(text: str, overrides: dict | None = None) -> dict[str, dict[str, str]]:
+    """Parse an INI-style document into ``{section: {key: value}}``, then
+    apply ``overrides`` (same layout), which replace or add keys.
 
     Parse failures carry the offending line; unknown sections are preserved
     for the caller to validate.
@@ -58,7 +61,10 @@ def parse_document(text: str) -> dict[str, dict[str, str]]:
         parser.read_string(text)
     except configparser.Error as exc:
         raise PreconditionError(f"malformed config document: {exc}") from exc
-    return {name: dict(parser[name]) for name in parser.sections()}
+    sections = {name: dict(parser[name]) for name in parser.sections()}
+    for name, body in (overrides or {}).items():
+        sections.setdefault(name, {}).update(body)
+    return sections
 
 
 def format_document(sections: dict[str, dict[str, str]]) -> str:
@@ -71,26 +77,30 @@ def format_document(sections: dict[str, dict[str, str]]) -> str:
     return "\n".join(lines)
 
 
-def document_hash(text: str) -> str:
-    """Stable hash of a config document, insensitive to comments and spacing."""
-    sections = parse_document(text)
+def document_hash(text: str, overrides: dict | None = None) -> str:
+    """Stable hash of a config document after ``overrides``, insensitive to
+    comments and spacing."""
+    sections = parse_document(text, overrides)
     canon = format_document({k: dict(sorted(v.items())) for k, v in sorted(sections.items())})
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _cell(value) -> str:
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+
+
+def _line(row) -> str:
+    try:
+        return ",".join(row)  # a row of str cells, written as given
+    except TypeError:
+        return ",".join(map(_cell, row))
+
+
 def write_csv(path, header: list[str], rows, comments: list[str] | None = None) -> None:
-    """Write rows of floats/ints/strings as CSV with optional ``#`` comments."""
-    out = []
-    for line in comments or []:
-        out.append(f"# {line}")
+    """Write rows as CSV with optional ``#`` comments: a str cell as given, a
+    float by ``repr``, anything else by ``str``."""
+    out = [f"# {line}" for line in comments or []]
     out.append(",".join(header))
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, (float, np.floating)):
-                cells.append(repr(float(cell)))
-            else:
-                cells.append(str(cell))
-        out.append(",".join(cells))
+    out.extend(map(_line, rows))
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")

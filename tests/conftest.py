@@ -73,6 +73,36 @@ def direct_oracle(coeffs, w, u0, source, cfg) -> GridField:
     return GridField(times=cfg.dt * np.arange(cfg.steps + 1), grid=x, values=u)
 
 
+def reference_write_csv(path, header, rows, comments=None) -> None:
+    """The per-cell CSV writer: each cell formatted on its own, a float
+    (Python or numpy) by ``repr``, anything else by ``str``.  The reference
+    for the bytes of ``textio.write_csv``."""
+    out = []
+    for line in comments or []:
+        out.append(f"# {line}")
+    out.append(",".join(header))
+    for row in rows:
+        cells = []
+        for cell in row:
+            if isinstance(cell, (float, np.floating)):
+                cells.append(repr(float(cell)))
+            else:
+                cells.append(str(cell))
+        out.append(",".join(cells))
+    with open(path, "w") as fh:
+        fh.write("\n".join(out) + "\n")
+
+
+def reference_field_csv(path, field, times, prov) -> None:
+    """(t, x, u) rows of float cells, one row per grid point and time,
+    through the per-cell writer: the reference for ``cli._field_csv``."""
+    rows = []
+    for t in times:
+        x, u = field.sample(float(t))
+        rows.extend([float(t), float(xi), float(ui)] for xi, ui in zip(x, u))
+    reference_write_csv(path, ["t", "x", "u"], rows, comments=prov)
+
+
 # --- Mittag-Leffler reference ------------------------------------------------
 
 def mittag_leffler(alpha: float, beta: float, z: float) -> float:

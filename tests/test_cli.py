@@ -8,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dodiff import cli
+from conftest import constant_coefficients, reference_field_csv, reference_write_csv
+from dodiff import cli, make_constant_weight
+from dodiff import oracle as oc
+from dodiff import solver as sv
 from dodiff.errors import PreconditionError
-from dodiff.spectral import build_fd
+from dodiff.spectral import build_exact_dirichlet, build_fd
 
 MINIMAL = """
 [weight]
@@ -298,6 +301,105 @@ class TestDispatch:
         a = cli.textio.document_hash(MINIMAL)
         b = cli.textio.document_hash("# a comment\n" + MINIMAL)
         assert a == b
+
+
+class TestProvenance:
+    OVERRIDES = ["--set", "problem.T=2.0", "--set", "problem.times=0.5 2.0"]
+
+    def run(self, tmp_path, name, extra=()):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(MINIMAL)
+        out = tmp_path / name
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out), *extra]) == 0
+        return out
+
+    @staticmethod
+    def config_hash(path):
+        lines = path.read_text().splitlines()
+        return [ln.split("= ", 1)[1] for ln in lines if "config_sha256" in ln]
+
+    def test_override_changes_hash(self, tmp_path):
+        plain = self.run(tmp_path, "plain")
+        moved = self.run(tmp_path, "moved", self.OVERRIDES)
+        assert self.config_hash(plain / "provenance.txt") == \
+            [cli.textio.document_hash(MINIMAL)]
+        for name in ("provenance.txt", "solve_field.csv", "solve_norms.csv"):
+            a, b = self.config_hash(plain / name), self.config_hash(moved / name)
+            assert len(a) == len(b) == 1 and a != b
+        # the hash is that of the document as run
+        as_run = MINIMAL.replace("T = 1.0", "T = 2.0").replace(
+            "times = 0.25 0.5 1.0", "times = 0.5 2.0")
+        assert self.config_hash(moved / "provenance.txt") == \
+            [cli.textio.document_hash(as_run)]
+
+    def test_no_override_is_document_hash(self):
+        for overrides in ({}, {"problem": {}}):
+            run = cli.RunConfig("solve", "config.ini", "out", overrides=overrides)
+            line = cli.provenance_lines(run, FULL)[2]
+            assert line == f"config_sha256 = {cli.textio.document_hash(FULL)}"
+
+
+class TestCsvWriter:
+    """The field CSVs format each value once; their bytes must equal those
+    of the per-cell reference writer."""
+
+    PROV = ["dodiff test", "config_sha256 = 0"]
+
+    def assert_field_bytes(self, tmp_path, field, times):
+        cli._field_csv(tmp_path / "fast.csv", field, times, self.PROV)
+        reference_field_csv(tmp_path / "ref.csv", field, times, self.PROV)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_solution_field(self, tmp_path):
+        w = make_constant_weight(1.0, alpha0=0.5, delta=0.25)
+        basis = build_exact_dirichlet(np.pi, 8, grid_points=33)
+        prob = sv.ProblemSpec(w, basis, np.array([1.0, 0.0, -0.5, 0, 0, 0, 0, 0.125]),
+                              lambda t: np.full(8, 0.2), 1.0)
+        field = sv.solve(prob, [0.1, 0.5, 1.0], n_nodes=32)
+        self.assert_field_bytes(tmp_path, field, field.times)
+
+    def test_oracle_field(self, tmp_path):
+        w = make_constant_weight(1.0, alpha0=0.5, delta=0.25)
+        cfg = oc.OracleConfig(dt=0.01, steps=20, grid_points=21)
+        field = oc.solve_oracle(constant_coefficients(), w,
+                                lambda x: np.sin(x), None, cfg)
+        self.assert_field_bytes(tmp_path, field, [0.05, 0.1, 0.2])
+
+    def test_hand_made_values(self, tmp_path):
+        grid = [-0.0, 5e-324, 0.1, 1.0, 1e300]
+        values = [[-0.0, 5e-324, 1e300, 1.0, 0.1],
+                  [-1.0, -0.1, -5e-324, -1e300, 0.0],
+                  [1e-310, 123456789.125, -2.5, 3.0, 1 / 3]]
+        field = oc.GridField(times=np.array([-0.0, 0.1, 1.0]), grid=np.array(grid),
+                             values=np.array(values))
+        self.assert_field_bytes(tmp_path, field, field.times)
+        text = (tmp_path / "fast.csv").read_text()
+        assert "\n-0.0,-0.0,-0.0\n" in text and "\n-0.0,5e-324,5e-324\n" in text
+        assert "\n0.1,5e-324,-0.1\n" in text and "\n1.0,1e+300,0.3333333333333333\n" in text
+        rows = [ln for ln in text.splitlines() if not ln.startswith("#")][1:]
+        assert len(rows) == 15
+
+    def write_both(self, tmp_path, header, rows):
+        cli.textio.write_csv(tmp_path / "fast.csv", header, rows, comments=self.PROV)
+        reference_write_csv(tmp_path / "ref.csv", header, rows, comments=self.PROV)
+        data = (tmp_path / "fast.csv").read_bytes()
+        assert data == (tmp_path / "ref.csv").read_bytes()
+        return data.decode().splitlines()[len(self.PROV) + 1:]
+
+    def test_kernel_rows(self, tmp_path):
+        rows = [[n, float(t), np.float64(2.0), np.float64(-0.0), np.float32(0.1),
+                 np.float64(5e-324)] for n in (1, 64) for t in (0.5, 1e4)]
+        lines = self.write_both(tmp_path, ["n", "t", "E_n", "G_c", "G_s", "rel"], rows)
+        assert lines[0] == f"1,0.5,2.0,-0.0,{float(np.float32(0.1))!r},5e-324"
+        assert lines[3].startswith("64,10000.0,2.0,")
+
+    def test_verify_rows(self, tmp_path):
+        rows = [["case a", 0.25, 1e-8, 1, ""], ["case b", np.float64(3.0), 2, True, "x"],
+                ["c", -0.0, np.int64(7), False, "note, quoted"]]
+        lines = self.write_both(tmp_path, ["case", "value", "tolerance", "passed", "note"],
+                                rows)
+        assert lines == ["case a,0.25,1e-08,1,", "case b,3.0,2,True,x",
+                         "c,-0.0,7,False,note, quoted"]
 
 
 def test_import_leaves_out_scipy_optimize():
