@@ -36,7 +36,7 @@ from .spectral import (
     project,
     synthesize,
 )
-from .verify import SUITES, ExperimentReport, VerifyConfig
+from .verify import SUITES, ExperimentReport
 from .weight import (
     WeightFunction,
     check_symbol_bounds,
@@ -66,7 +66,6 @@ __all__ = [
     "SUITES",
     "SolutionField",
     "SpectralBasis",
-    "VerifyConfig",
     "WeightFunction",
     "an_threshold",
     "build_exact_dirichlet",

@@ -35,13 +35,11 @@ from .errors import DomainError, NumericError, PreconditionError
 _KEYS = {
     "operator": {"kind", "a", "q", "l", "c_a", "m", "n"},
     "problem": {"u0", "source", "t", "times", "kappas"},
-    "numerics": {"quad_order", "duhamel_nodes", "seed", "theta", "dt", "steps",
-                 "alpha_nodes"},
+    "numerics": {"duhamel_nodes", "seed", "theta", "dt", "steps", "alpha_nodes"},
 }
 _RANGES = {
     "operator.n": (1, 4096),
     "operator.m": (3, 100001),
-    "numerics.quad_order": (8, 512),
     "numerics.duhamel_nodes": (16, 65536),
     "numerics.alpha_nodes": (2, 512),
     "numerics.steps": (1, 10_000_000),
@@ -148,7 +146,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ProblemBundle:
     keys kind (dirichlet|fd), a, q, L, c_a, M, N; [problem] keys u0
     (``modes: c1 c2 ...`` or ``profile: sine|parabola``), source (``none``,
     ``modes: ...`` constant in time), T, times, kappas; [numerics] keys
-    quad_order, duhamel_nodes, seed, theta, dt, steps, alpha_nodes.  Keys
+    duhamel_nodes, seed, theta, dt, steps, alpha_nodes.  Keys
     are case-insensitive; any other section or key is rejected.
     """
     sections = textio.parse_document(text, overrides)
@@ -193,6 +191,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ProblemBundle:
         raise PreconditionError(f"problem.t = {pr['t'].strip()!r} must be positive")
     times = textio.parse_array(pr["times"], "problem.times") if pr.get("times") \
         else np.linspace(horizon / 8.0, horizon, 8)
+    if times.size == 0:
+        raise PreconditionError(f"problem.times = {pr['times'].strip()!r} lists no time")
     if np.any(times <= 0.0) or np.any(times > horizon * (1 + 1e-12)):
         raise PreconditionError("problem.times must lie inside (0, T]")
     kappas = tuple(textio.parse_array(pr.get("kappas", "0.5 1.0"), "problem.kappas"))
@@ -236,9 +236,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ProblemBundle:
     # capped so that a tiny dt lands in the range check, not in an overflow
     default_steps = max(1, int(round(min(horizon / dt, 1e9))))
     numerics = {
-        "quad_order": _number(nm, "numerics.quad_order", "64", int),
         "duhamel_nodes": _number(nm, "numerics.duhamel_nodes", "256", int),
-        "seed": _number(nm, "numerics.seed", "20240915", int),
+        "seed": _number(nm, "numerics.seed", str(vf.DEFAULT_SEED), int),
         "theta": _number(nm, "numerics.theta", repr(3 * np.pi / 4)),
         "dt": dt,
         "steps": _number(nm, "numerics.steps", str(default_steps), int),
@@ -275,8 +274,7 @@ def provenance_lines(run: RunConfig, config_text: str) -> list[str]:
 
 
 def _kernel_config(bundle: ProblemBundle) -> kn.KernelConfig:
-    return kn.KernelConfig(theta=bundle.numerics["theta"],
-                           moment_order=bundle.numerics["quad_order"])
+    return kn.KernelConfig(theta=bundle.numerics["theta"])
 
 
 def _cmd_kernel(run: RunConfig, bundle: ProblemBundle, prov: list[str]) -> int:
@@ -286,7 +284,7 @@ def _cmd_kernel(run: RunConfig, bundle: ProblemBundle, prov: list[str]) -> int:
     contour = kn.build_kernel_table(bundle.basis, bundle.weight, bundle.times,
                                     modes=modes, cfg=cfg)
     lams = bundle.basis.eigenvalues[np.asarray(modes) - 1]
-    spectral = kn.eval_spectral_block(bundle.times, lams, bundle.weight, cfg)
+    spectral = kn.eval_spectral_block(bundle.times, lams, bundle.weight)
     rows = []
     for i, n in enumerate(modes):
         for j, t in enumerate(bundle.times):
@@ -341,11 +339,10 @@ def _cmd_oracle(run: RunConfig, bundle: ProblemBundle, prov: list[str]) -> int:
 
 def _cmd_verify(run: RunConfig, prov: list[str]) -> int:
     out = Path(run.out_dir)
-    cfg = vf.VerifyConfig(seed=run.seed)
     names = list(vf.SUITES) if run.suite == "all" else [run.suite]
     status = 0
     for name in names:
-        report = vf.SUITES[name](cfg)
+        report = vf.SUITES[name](run.seed)
         textio.write_csv(out / f"{name}_metrics.csv", report.csv_header(),
                          report.csv_rows(), comments=prov)
         (out / f"{name}_summary.txt").write_text(report.summary_text())
@@ -357,6 +354,12 @@ def _cmd_verify(run: RunConfig, prov: list[str]) -> int:
 
 def dispatch(run: RunConfig) -> int:
     """Run one subcommand; returns the process exit status."""
+    overridden = [f"{section}.{key}" for section, body in run.overrides.items()
+                  for key in body]
+    if overridden and not run.config_path:
+        raise PreconditionError(
+            f"--set {overridden[0]} needs --config: overrides apply to a config "
+            f"document (use --seed to seed verify)")
     out = Path(run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config_text = ""
@@ -367,7 +370,7 @@ def dispatch(run: RunConfig) -> int:
         if run.seed is None:
             run.seed = bundle.numerics["seed"]
     if run.seed is None:
-        run.seed = 20240915
+        run.seed = vf.DEFAULT_SEED
     prov = provenance_lines(run, config_text)
     (out / "provenance.txt").write_text("\n".join(prov) + "\n")
     try:

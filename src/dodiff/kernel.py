@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, PreconditionError
 from .spectral import SpectralBasis
-from .weight import WeightFunction, monotone_root, zeta_inv
+from .weight import WeightFunction, _gauss, gauss_on_edges, monotone_root, zeta_inv
 
 _LN10 = math.log(10.0)
 
@@ -80,14 +80,11 @@ _SPECTRAL_PANEL_WIDTH = 0.75
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """The kernel settings a caller chooses: the contour angle ``theta`` in
-    (pi/2, pi) and the Gauss-Legendre order of the symbol quadrature per
-    polynomial piece.  Kernel values do not depend on ``theta``; everything
-    else about the contour follows from the weight, the eigenvalues and the
-    times."""
+    """The kernel setting a caller chooses: the contour angle ``theta`` in
+    (pi/2, pi).  Kernel values do not depend on it; everything else about
+    the contour follows from the weight, the eigenvalues and the times."""
 
     theta: float = 3.0 * np.pi / 4.0
-    moment_order: int = 64
 
     def __post_init__(self):
         if not (np.pi / 2.0 < self.theta < np.pi):
@@ -138,23 +135,13 @@ class ContourSpec:
 
     def ray_quadrature(self):
         """Geometrically graded Gauss-Legendre nodes on [epsilon, cutoff]."""
-        return _gauss_on_edges(self.epsilon * (self.ray_cutoff / self.epsilon) ** (
-            np.arange(self.n_panels + 1) / self.n_panels))
+        return gauss_on_edges(self.epsilon * (self.ray_cutoff / self.epsilon) ** (
+            np.arange(self.n_panels + 1) / self.n_panels), _PANEL_ORDER)
 
     def arc_quadrature(self):
         """Gauss-Legendre nodes in angle on the upper half-arc [0, theta]."""
-        x, wq = np.polynomial.legendre.leggauss(_ARC_COUNT)
+        x, wq = _gauss(_ARC_COUNT)
         return 0.5 * self.theta * (x + 1.0), 0.5 * self.theta * wq
-
-
-def _gauss_on_edges(edges):
-    """Gauss-Legendre nodes and weights on every panel between consecutive
-    edges, flattened panel by panel."""
-    x, wq = np.polynomial.legendre.leggauss(_PANEL_ORDER)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-    wts = 0.5 * (hi - lo) * np.broadcast_to(wq, nodes.shape)
-    return nodes.ravel(), wts.ravel()
 
 
 def shared_contour(times, lambda1: float, w: WeightFunction,
@@ -222,7 +209,6 @@ def _contour_block(times, lambdas, w: WeightFunction, cfg: KernelConfig | None,
     for (K_1, K_2).  The arc encloses s = 0, so the poles of s^-k need no
     separate contour.
     """
-    cfg = cfg or _DEFAULT_CONFIG
     times = np.atleast_1d(np.asarray(times, dtype=float))
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if np.any(lambdas <= 0.0):
@@ -254,7 +240,7 @@ def _contour_block(times, lambdas, w: WeightFunction, cfg: KernelConfig | None,
     logs = np.concatenate([np.log(r) + 1j * spec.theta,
                            np.log(spec.epsilon) + 1j * beta])
     s = np.exp(logs)
-    sw = w.power_moments(logs, order=cfg.moment_order)
+    sw = w.power_moments(logs)
     ds = np.concatenate([wr * np.exp(1j * spec.theta), 1j * s[len(r):] * wb])
     mult_a, mult_b = (1.0 / s, 1.0 / s ** 2) if response else (sw / s, 1.0)
 
@@ -280,16 +266,15 @@ def _mode_lambda(basis: SpectralBasis, n: int) -> float:
     return float(basis.eigenvalues[n - 1])
 
 
-def _phi_on_cut(lambdas, logr, w: WeightFunction, order: int = 64) -> np.ndarray:
+def _phi_on_cut(lambdas, logr, w: WeightFunction) -> np.ndarray:
     """Phi for every eigenvalue (rows) at every log r (columns), from one
     evaluation of the cut value; log r keeps far tails from underflowing."""
-    cut = w.power_moments(np.asarray(logr, dtype=float) + 1j * np.pi, order=order)
+    cut = w.power_moments(np.asarray(logr, dtype=float) + 1j * np.pi)
     lam = np.asarray(lambdas, dtype=float)[:, None]
     return cut.imag / ((cut.real + lam) ** 2 + cut.imag ** 2)
 
 
-def eval_spectral_block(times, lambdas, w: WeightFunction,
-                        cfg: KernelConfig | None = None) -> np.ndarray:
+def eval_spectral_block(times, lambdas, w: WeightFunction) -> np.ndarray:
     """G of shape (n_times, n_modes) through the real-axis density,
     G_n(t) = (1/pi) int Phi_n(r) e^(-rt) dr.
 
@@ -298,8 +283,8 @@ def eval_spectral_block(times, lambdas, w: WeightFunction,
     scale: the upper end where r t_min reaches 40; the lower end starts where
     r t_max is 1e-8 and steps down by decades until the crude tail estimate
     r Phi_n(r) is under 1e-12/lambda_n^2 (scaled by sup|mu|) for every mode.
+    The route has no contour, so it takes no kernel setting.
     """
-    cfg = cfg or _DEFAULT_CONFIG
     times = np.atleast_1d(np.asarray(times, dtype=float))
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if np.any(times <= 0.0):
@@ -309,8 +294,7 @@ def eval_spectral_block(times, lambdas, w: WeightFunction,
 
     r_min = _SPECTRAL_LOWER_RT / times.max()
     floor = _SPECTRAL_TAIL_FLOOR * max(1.0, w.sup_norm) / lambdas ** 2
-    while np.any(r_min * _phi_on_cut(lambdas, [math.log(r_min)], w,
-                                     cfg.moment_order)[:, 0] > floor):
+    while np.any(r_min * _phi_on_cut(lambdas, [math.log(r_min)], w)[:, 0] > floor):
         r_min /= 10.0
         if r_min < 1e-130:
             raise NumericError("spectral lower truncation certificate unmet")
@@ -320,16 +304,15 @@ def eval_spectral_block(times, lambdas, w: WeightFunction,
         raise NumericError("empty spectral quadrature window")
 
     n_pan = max(1, math.ceil((u_max - u_min) / _SPECTRAL_PANEL_WIDTH))
-    u, wu = _gauss_on_edges(np.linspace(u_min, u_max, n_pan + 1))
-    phi = _phi_on_cut(lambdas, u, w, cfg.moment_order)
+    u, wu = gauss_on_edges(np.linspace(u_min, u_max, n_pan + 1), _PANEL_ORDER)
+    phi = _phi_on_cut(lambdas, u, w)
     decay = np.exp(u - np.multiply.outer(times, np.exp(u))) * wu
     return decay @ phi.T / np.pi
 
 
-def eval_Gn_spectral(n: int, t: float, basis: SpectralBasis, w: WeightFunction,
-                     cfg: KernelConfig | None = None) -> float:
+def eval_Gn_spectral(n: int, t: float, basis: SpectralBasis, w: WeightFunction) -> float:
     """G_n(t) through the real-axis density, one entry of the spectral block."""
-    return float(eval_spectral_block([t], [_mode_lambda(basis, n)], w, cfg)[0, 0])
+    return float(eval_spectral_block([t], [_mode_lambda(basis, n)], w)[0, 0])
 
 
 # --- spectral-density tail machinery ------------------------------------------
@@ -380,7 +363,7 @@ def tail_bound_products(modes, basis: SpectralBasis,
     while pts[-1] > lo:
         pts.append(pts[-1] - min(max(1.0, 0.25 * abs(pts[-1])), pts[-1] - lo))
     pts[-1] = lo
-    u, wu = _gauss_on_edges(np.union1d(pts, splits))
+    u, wu = gauss_on_edges(np.union1d(pts, splits), _PANEL_ORDER)
     return lams * (_phi_on_cut(lams, u, w) @ wu)
 
 

@@ -22,6 +22,17 @@ from . import weight as wt
 from .errors import NumericError
 
 TOLERANCE_VERSION = "1"
+# the seed of the randomized families, unless a caller passes its own
+DEFAULT_SEED = 20240915
+# the fixed problem of every suite: Dirichlet interval, horizon, mode counts
+# and the finite-difference grid of the stability suite
+_LENGTH = np.pi
+_HORIZON = 1.0
+_N_MODES = 64
+_FD_POINTS = 201
+_STABILITY_MODES = 12
+_H2_SOURCES = 20
+_H2_BAND = 8
 
 
 @dataclass(frozen=True)
@@ -67,25 +78,9 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    seed: int = 20240915
-    n_modes: int = 64
-    length: float = np.pi
-    horizon: float = 1.0
-    fd_points: int = 201
-    stability_modes: int = 12
-    h2_sources: int = 20
-    h2_band: int = 8
-
-
-def _exact_basis(cfg: VerifyConfig, n_modes: int | None = None) -> sp.SpectralBasis:
-    return sp.build_exact_dirichlet(cfg.length, n_modes or cfg.n_modes)
-
-
 # --- decay ---------------------------------------------------------------------
 
-def run_decay_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
+def run_decay_suite(seed: int = DEFAULT_SEED) -> ExperimentReport:
     """Small-time blow-up exponents of the solution and its time derivative.
 
     The theory bounds ||u(t)|| by t^(gamma-1) in the graph norm and
@@ -93,9 +88,9 @@ def run_decay_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
     slopes must not fall below those rates (one-sided, with fit slack).
     """
     w = wt.make_constant_weight(1.0, alpha0=0.5, delta=0.25)
-    basis = _exact_basis(cfg)
+    basis = sp.build_exact_dirichlet(_LENGTH, _N_MODES)
     report = ExperimentReport("decay", {
-        "alpha0": w.alpha0, "n_modes": basis.n_modes, "seed": cfg.seed,
+        "alpha0": w.alpha0, "n_modes": basis.n_modes, "seed": seed,
         "window": "[1e-4, 1e-2]", "tolerance_version": TOLERANCE_VERSION})
     ts = np.logspace(-4, -2, 17)
 
@@ -110,7 +105,7 @@ def run_decay_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
     # smooth data: graph norm stays bounded as t -> 0
     c0 = np.zeros(basis.n_modes)
     c0[0] = 1.0
-    prob = sv.ProblemSpec(w, basis, c0, None, cfg.horizon)
+    prob = sv.ProblemSpec(w, basis, c0, None, _HORIZON)
     field = sv.solve(prob, ts)
     try:
         slope = sv.estimate_decay_exponent(field, 1.0, (1e-4, 1e-2))
@@ -132,7 +127,7 @@ def run_decay_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
     # rough data at half smoothness
     gamma = 0.5
     c_rough = basis.eigenvalues ** (-gamma - 0.51)
-    prob2 = sv.ProblemSpec(w, basis, c_rough, None, cfg.horizon)
+    prob2 = sv.ProblemSpec(w, basis, c_rough, None, _HORIZON)
     field2 = sv.solve(prob2, ts)
     try:
         slope2 = sv.estimate_decay_exponent(field2, 1.0, (1e-4, 1e-2))
@@ -146,7 +141,7 @@ def run_decay_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
 
 # --- source-to-solution boundedness ---------------------------------------------
 
-def run_h2_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
+def run_h2_suite(seed: int = DEFAULT_SEED) -> ExperimentReport:
     """Boundedness of ||u|| in L2(0,T; graph norm) against ||F|| in L2.
 
     Needs a weight with an upper support cutoff.  A fixed-seed family of
@@ -156,12 +151,12 @@ def run_h2_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
     """
     w = wt.make_tapered_weight(level=1.0, plateau_end=0.75, support_end=0.8,
                                alpha0=0.75, delta=0.5)
-    basis = _exact_basis(cfg, n_modes=32)
-    T = cfg.horizon
+    basis = sp.build_exact_dirichlet(_LENGTH, 32)
+    T = _HORIZON
     ts = np.linspace(T / 16.0, T, 16)
     report = ExperimentReport("h2", {
-        "alpha1": w.alpha1, "n_modes": basis.n_modes, "seed": cfg.seed,
-        "sources": cfg.h2_sources, "band": cfg.h2_band, "horizon": T,
+        "alpha1": w.alpha1, "n_modes": basis.n_modes, "seed": seed,
+        "sources": _H2_SOURCES, "band": _H2_BAND, "horizon": T,
         "tolerance_version": TOLERANCE_VERSION})
 
     # response factors R_n(t) = int_0^t G_n: for constant-in-time sources the
@@ -193,11 +188,11 @@ def run_h2_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
     report.add("single-mode-ratio", r1, "finite and positive",
                np.isfinite(r1) and r1 > 0.0)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     ratios = []
-    for _ in range(cfg.h2_sources):
+    for _ in range(_H2_SOURCES):
         g = np.zeros(basis.n_modes)
-        g[: cfg.h2_band] = rng.normal(size=cfg.h2_band)
+        g[:_H2_BAND] = rng.normal(size=_H2_BAND)
         ratios.append(ratio_for(g))
     band = max(ratios) / min(ratios)
     report.add("family-ratio-band", band, "max/min < 10", band < 10.0)
@@ -206,19 +201,18 @@ def run_h2_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
 
 # --- stability under coefficient perturbations ----------------------------------
 
-def _fd_problem(cfg: VerifyConfig, w: wt.WeightFunction, a_shift: float,
-                q_shift: float):
+def _fd_problem(w: wt.WeightFunction, a_shift: float, q_shift: float):
     ell = sp.EllipticCoefficients(
         a=lambda x: np.full_like(np.asarray(x, float), 1.0 + a_shift),
         q=lambda x: np.full_like(np.asarray(x, float), q_shift),
-        c_a=1.0 + a_shift, length=cfg.length)
-    basis = sp.build_fd(ell, cfg.fd_points, cfg.stability_modes)
-    u0 = basis.grid * (cfg.length - basis.grid)
+        c_a=1.0 + a_shift, length=_LENGTH)
+    basis = sp.build_fd(ell, _FD_POINTS, _STABILITY_MODES)
+    u0 = basis.grid * (_LENGTH - basis.grid)
     c0 = sp.project(basis, u0)
-    return basis, sv.ProblemSpec(w, basis, c0, None, cfg.horizon)
+    return basis, sv.ProblemSpec(w, basis, c0, None, _HORIZON)
 
 
-def run_stability_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
+def run_stability_suite(seed: int = DEFAULT_SEED) -> ExperimentReport:
     """Lipschitz response to perturbations of the order density, the
     diffusion coefficient and the potential, separately and jointly.
 
@@ -227,12 +221,12 @@ def run_stability_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
     perturbation strength.
     """
     report = ExperimentReport("stability", {
-        "fd_points": cfg.fd_points, "n_modes": cfg.stability_modes,
-        "kappa": 0.5, "p": 1, "horizon": cfg.horizon, "seed": cfg.seed,
+        "fd_points": _FD_POINTS, "n_modes": _STABILITY_MODES,
+        "kappa": 0.5, "p": 1, "horizon": _HORIZON, "seed": seed,
         "tolerance_version": TOLERANCE_VERSION})
     w_base = wt.make_constant_weight(1.0, alpha0=0.5, delta=0.25)
-    base_basis, base_prob = _fd_problem(cfg, w_base, 0.0, 0.0)
-    ts = np.linspace(0.1, cfg.horizon, 9)
+    base_basis, base_prob = _fd_problem(w_base, 0.0, 0.0)
+    ts = np.linspace(0.1, _HORIZON, 9)
     base_field = sv.solve(base_prob, ts)
     base_grid_vals = np.stack([base_field.sample(t)[1] for t in ts])
 
@@ -240,7 +234,7 @@ def run_stability_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
                note="identical inputs trivially coincide")
 
     # constant potential shift moves every eigenvalue by exactly the shift
-    shifted_basis, _ = _fd_problem(cfg, w_base, 0.0, 0.5)
+    shifted_basis, _ = _fd_problem(w_base, 0.0, 0.5)
     drift = np.max(np.abs(shifted_basis.eigenvalues
                           - base_basis.eigenvalues - 0.5))
     report.add("potential-shift-identity", drift, "<= 1e-8", drift <= 1e-8)
@@ -254,11 +248,11 @@ def run_stability_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
 
     eps_list = (1e-1, 1e-2, 1e-3)
     variants: dict[str, Callable[[float], tuple]] = {
-        "density": lambda e: _fd_problem(cfg, wt.make_constant_weight(
+        "density": lambda e: _fd_problem(wt.make_constant_weight(
             1.0 + e, alpha0=0.5, delta=0.25), 0.0, 0.0),
-        "diffusion": lambda e: _fd_problem(cfg, w_base, e, 0.0),
-        "potential": lambda e: _fd_problem(cfg, w_base, 0.0, e),
-        "joint": lambda e: _fd_problem(cfg, wt.make_constant_weight(
+        "diffusion": lambda e: _fd_problem(w_base, e, 0.0),
+        "potential": lambda e: _fd_problem(w_base, 0.0, e),
+        "joint": lambda e: _fd_problem(wt.make_constant_weight(
             1.0 + e, alpha0=0.5, delta=0.25), e, e),
     }
     sizes = {"density": 1.0, "diffusion": 1.0, "potential": 1.0, "joint": 3.0}
@@ -276,14 +270,14 @@ def run_stability_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
 
 # --- symbol and tail bounds ------------------------------------------------------
 
-def run_bound_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
+def run_bound_suite(seed: int = DEFAULT_SEED) -> ExperimentReport:
     """Aggregate of the symbol inequalities and the spectral-density tail
     bound, on fixed-seed randomized samples."""
     report = ExperimentReport("bounds", {
-        "samples": 10_000, "seed": cfg.seed, "n_modes": cfg.n_modes,
+        "samples": 10_000, "seed": seed, "n_modes": _N_MODES,
         "tolerance_version": TOLERANCE_VERSION})
     w = wt.make_constant_weight(1.0, alpha0=0.5, delta=0.25)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     n = 10_000
     r = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), n))
     beta = rng.uniform(0.0, np.pi, n)
@@ -304,7 +298,7 @@ def run_bound_suite(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
 
     tw = wt.make_tapered_weight(level=1.0, plateau_end=0.75, support_end=0.8,
                                 alpha0=0.75, delta=0.5)
-    basis = _exact_basis(cfg)
+    basis = sp.build_exact_dirichlet(_LENGTH, _N_MODES)
     prods = kn.tail_bound_products(np.arange(1, basis.n_modes + 1), basis, tw)
     band = prods.max() / prods.min()
     report.add("tail-bound-band", band, "max/min < 10", band < 10.0,
@@ -327,13 +321,13 @@ def divided_differences(ts: np.ndarray, values: np.ndarray, order: int):
     return out
 
 
-def run_smoothness_probe(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport:
+def run_smoothness_probe(seed: int = DEFAULT_SEED) -> ExperimentReport:
     """Bounded scaled divided differences as a smoothness proxy (this is a
     probe, not a proof of analyticity)."""
     report = ExperimentReport("smoothness", {
-        "orders": 4, "grid": "geometric on [0.5, 2]", "seed": cfg.seed,
+        "orders": 4, "grid": "geometric on [0.5, 2]", "seed": seed,
         "tolerance_version": TOLERANCE_VERSION})
-    basis = _exact_basis(cfg, n_modes=8)
+    basis = sp.build_exact_dirichlet(_LENGTH, 8)
     ts = np.geomspace(0.5, 2.0, 25)
     span = ts[-1] - ts[0]
 
@@ -368,7 +362,7 @@ def run_smoothness_probe(cfg: VerifyConfig = VerifyConfig()) -> ExperimentReport
     return report
 
 
-SUITES: dict[str, Callable[[VerifyConfig], ExperimentReport]] = {
+SUITES: dict[str, Callable[[int], ExperimentReport]] = {
     "decay": run_decay_suite,
     "h2": run_h2_suite,
     "stability": run_stability_suite,

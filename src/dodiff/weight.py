@@ -21,6 +21,10 @@ bounds |s w(s)| <= sup|mu| * zeta(|s|), and so |w(s)| <= sup|mu| * zeta(|s|)/|s|
 zeta is strictly monotone, so it has an inverse; the kernel module uses
 zeta_inv to pick admissible contour radii.
 
+The Gauss-Legendre rule table (``_gauss``, cached per order) and the panel
+mapper ``gauss_on_edges`` live here and serve the kernel module's contour
+and log r grids as well.
+
 All functions here are pure and the weight objects are immutable, so
 concurrent use from any number of workers is safe.
 """
@@ -38,6 +42,8 @@ from numpy.polynomial import polynomial as npoly
 from . import textio
 from .errors import DomainError, NumericError, PreconditionError
 
+# Gauss-Legendre nodes per panel of the symbol quadrature, the one order
+# every symbol evaluation uses; tests compare it against other orders
 DEFAULT_QUAD_ORDER = 64
 # Gauss-Legendre of order n on a panel resolves exp(c*alpha) only while
 # |Re c| * width stays below a few hundred; panels are split to keep the
@@ -58,7 +64,22 @@ class NearCutWarning(UserWarning):
 
 @lru_cache(maxsize=32)
 def _gauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
+    """The Gauss-Legendre rule of ``order`` nodes on [-1, 1], built once per
+    order; the arrays are shared between callers, so they are read-only."""
+    x, wq = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = wq.flags.writeable = False
+    return x, wq
+
+
+def gauss_on_edges(edges, order: int):
+    """Gauss-Legendre nodes and weights of ``order`` points on every panel
+    between consecutive edges, flattened panel by panel."""
+    x, wq = _gauss(order)
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    wts = 0.5 * (hi - lo) * np.broadcast_to(wq, nodes.shape)
+    return nodes.ravel(), wts.ravel()
 
 
 @dataclass(frozen=True)
@@ -150,21 +171,15 @@ class WeightFunction:
         identically zero skipped.  ``max_exponent`` is the largest |Re(log s)|
         the caller will use; panels are subdivided so the quadrature stays in
         its accuracy envelope for exponentials of that scale."""
-        x, wq = _gauss(order)
         nodes, wts = [], []
         for k, c in enumerate(self.coeffs):
             if np.all(c == 0.0):
                 continue
             a, b = self.breakpoints[k], self.breakpoints[k + 1]
-            nsub = 1
-            if max_exponent > 0.0:
-                nsub = max(1, int(np.ceil(max_exponent * (b - a) / _MAX_PANEL_EXPONENT)))
-            edges = np.linspace(a, b, nsub + 1)
-            for j in range(nsub):
-                lo, hi = edges[j], edges[j + 1]
-                al = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-                nodes.append(al)
-                wts.append(0.5 * (hi - lo) * wq * npoly.polyval(al, c))
+            nsub = max(1, int(np.ceil(max_exponent * (b - a) / _MAX_PANEL_EXPONENT)))
+            al, wq = gauss_on_edges(np.linspace(a, b, nsub + 1), order)
+            nodes.append(al)
+            wts.append(wq * npoly.polyval(al, c))
         if not nodes:
             return np.zeros(0), np.zeros(0)
         return np.concatenate(nodes), np.concatenate(wts)
@@ -301,8 +316,11 @@ def make_tapered_weight(level: float = 1.0, plateau_end: float = 0.75,
 
 
 def _checked_logs(s) -> np.ndarray:
-    """log s for points off the cut (-inf, 0], warning once if any lies near it."""
+    """log s for finite points off the cut (-inf, 0], warning once if any
+    lies near it."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
+    if not np.all(np.isfinite(s)):
+        raise DomainError(f"s = {complex(s[~np.isfinite(s)][0])} is not finite")
     on_cut = (s.imag == 0.0) & (s.real <= 0.0)
     if np.any(on_cut):
         raise DomainError(

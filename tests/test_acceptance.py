@@ -27,7 +27,7 @@ from dodiff.kernel import (
 from dodiff.oracle import OracleConfig, compare, solve_oracle
 from dodiff.solver import ProblemSpec, estimate_decay_exponent, solve
 from dodiff.spectral import build_exact_dirichlet, project
-from dodiff.verify import VerifyConfig, run_stability_suite
+from dodiff.verify import run_stability_suite
 from dodiff.weight import check_symbol_bounds
 
 
@@ -180,7 +180,7 @@ def test_08_spectral_tail_bound(basis64):
 
 def test_09_stability_linearity():
     t0 = time.time()
-    rep = run_stability_suite(VerifyConfig())
+    rep = run_stability_suite()
     drifts = {r.case: r.value for r in rep.rows if r.case.endswith("ratio-drift")}
     ok = rep.passed and all(v < 2.0 for v in drifts.values())
     report(9, ok, "stability linearity",

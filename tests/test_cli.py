@@ -44,7 +44,6 @@ T = 2.0
 times = 0.5 1.0 2.0
 
 [numerics]
-quad_order = 64
 duhamel_nodes = 128
 seed = 7
 """
@@ -55,7 +54,6 @@ class TestParseConfig:
         bundle = cli.parse_config(MINIMAL)
         assert bundle.basis.n_modes == 64
         assert bundle.horizon == 1.0
-        assert bundle.numerics["quad_order"] == 64
         # sine profile concentrates on the first mode
         assert abs(bundle.initial_coeffs[0]) > 1.0
         assert np.max(np.abs(bundle.initial_coeffs[1:])) < 1e-8
@@ -82,8 +80,8 @@ class TestParseConfig:
             cli.parse_config(MINIMAL + "\n[extra]\nfoo = 1\n")
 
     def test_override_ranges(self):
-        with pytest.raises(PreconditionError, match="quad_order"):
-            cli.parse_config(MINIMAL, overrides={"numerics": {"quad_order": "4"}})
+        with pytest.raises(PreconditionError, match="duhamel_nodes"):
+            cli.parse_config(MINIMAL, overrides={"numerics": {"duhamel_nodes": "4"}})
 
     def test_times_outside_horizon(self):
         with pytest.raises(PreconditionError, match="times"):
@@ -137,6 +135,8 @@ BAD_VALUES = {
     "T-nan": (MINIMAL.replace("T = 1.0", "T = nan"), "problem.t", "'nan'"),
     "times-nan": (MINIMAL.replace("times = 0.25 0.5 1.0", "times = 0.2 nan 1.0"),
                   "problem.times", "'nan'"),
+    "times-empty": (MINIMAL.replace("times = 0.25 0.5 1.0", "times = ,"),
+                    "problem.times", "','"),
     "coeffs-nan": (TAPERED.replace("coeffs = 1 ;", "coeffs = nan ;"),
                    "weight.coeffs", "'nan'"),
 }
@@ -162,11 +162,14 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("section, key, doc", [
         ("numerics", "stesp", MINIMAL + "\n[numerics]\nstesp = 5\n"),
+        # the symbol quadrature order is fixed, not a setting
+        ("numerics", "quad_order", MINIMAL + "\n[numerics]\nquad_order = 64\n"),
         ("problem", "kappa", MINIMAL.replace("T = 1.0", "T = 1.0\nkappa = 0.3")),
         ("operator", "nn", MINIMAL + "\n[operator]\nnn = 8\n"),
         ("weight", "value", BOX.replace("h = 0.02", "h = 0.02\nvalue = 2")),
         ("weight", "h", MINIMAL.replace("value = 1.0", "value = 1.0\nh = 0.1")),
-    ], ids=["numerics", "problem", "operator", "box-weight", "constant-weight"])
+    ], ids=["numerics", "quad-order", "problem", "operator", "box-weight",
+            "constant-weight"])
     def test_unknown_key(self, section, key, doc):
         with pytest.raises(PreconditionError, match=f"unknown config key {section}.{key}"):
             cli.parse_config(doc)
@@ -190,6 +193,17 @@ class TestConfigErrors:
         # keys are case-insensitive, as in the document itself
         bundle = cli.parse_config(MINIMAL, cli._parse_overrides(["problem.T=2.0"]))
         assert bundle.horizon == 2.0
+
+    def test_verify_override_needs_config(self, tmp_path, capsys):
+        # with no document there is nothing to override: the run stops
+        # before it writes anything, rather than ignoring --set
+        out = tmp_path / "out"
+        rc = cli.main(["verify", "--suite", "decay", "--set", "bogus.key=1",
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error[verify]: ") and "bogus.key" in err
+        assert not list(out.glob("*.csv")) and not (out / "provenance.txt").exists()
 
     def test_non_finite_weight_field(self):
         from dodiff.weight import WeightFunction

@@ -1,23 +1,39 @@
-"""The benchmark's tracer (perfbench/tracer.py) wraps package functions by
-name; a rename in the package must fail here, not first in a traced run."""
+"""The benchmark (perfbench/) uses the package as a library: its tracer
+wraps package functions by name, and its accuracy metrics read
+``cli.parse_config``, ``cli._kernel_config`` and the ``[numerics]`` dict.  A
+rename or a dropped setting in the package must fail here, not first in a
+benchmark run."""
 
+import contextlib
 import importlib.util
+import io
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dodiff import cli
 from dodiff.kernel import choose_contour
 from dodiff.oracle import GridField
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+
+
+def load_module(name, path, monkeypatch=None):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    if monkeypatch is not None:
+        # dataclasses resolve their annotations through sys.modules
+        monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("perfbench_tracer", TRACER)
 
 
 def test_targets_resolve():
@@ -51,3 +67,23 @@ def test_csv_counter_reads_rows_and_bytes(tmp_path):
         tr.uninstall()
     counts = [c for c in tr.counts.values() if "rows" in c]
     assert counts == [{"rows": 3 * 7, "bytes": path.stat().st_size}]
+
+
+# loose ceilings: far above the values the probes give, far below a break
+PROBE_CEILINGS = {"source": 1e-6, "kernel": 1e-6, "oracle": 0.02}
+
+
+@pytest.mark.parametrize("check", sorted(PROBE_CEILINGS))
+def test_accuracy_probe(check, tmp_path, monkeypatch):
+    # accuracy.py imports its sibling as the top-level module ``workloads``
+    load_module("workloads", PERFBENCH / "workloads.py", monkeypatch)
+    accuracy = load_module("perfbench_accuracy", PERFBENCH / "accuracy.py")
+    assert set(accuracy.PROBES) == set(accuracy.CHECKS) == set(PROBE_CEILINGS)
+    subcommand, text = accuracy.PROBES[check]
+    (tmp_path / "probe.ini").write_text(text)
+    with contextlib.redirect_stderr(io.StringIO()):
+        status = cli.main([subcommand, "--config", str(tmp_path / "probe.ini"),
+                           "--out", str(tmp_path)])
+    assert status == 0
+    value = accuracy.CHECKS[check](text, tmp_path)
+    assert math.isfinite(value) and value < PROBE_CEILINGS[check]

@@ -3,7 +3,6 @@ import pytest
 
 from dodiff.verify import (
     SUITES,
-    VerifyConfig,
     divided_differences,
     run_bound_suite,
     run_decay_suite,
@@ -12,17 +11,15 @@ from dodiff.verify import (
     run_stability_suite,
 )
 
-CFG = VerifyConfig()
-
 
 @pytest.fixture(scope="module")
 def decay_report():
-    return run_decay_suite(CFG)
+    return run_decay_suite()
 
 
 @pytest.fixture(scope="module")
 def bound_report():
-    return run_bound_suite(CFG)
+    return run_bound_suite()
 
 
 class TestDecaySuite:
@@ -44,24 +41,24 @@ class TestDecaySuite:
 
 class TestH2Suite:
     def test_passes(self):
-        rep = run_h2_suite(CFG)
+        rep = run_h2_suite()
         assert rep.passed
         band = next(r for r in rep.rows if r.case == "family-ratio-band")
         assert band.value < 10.0
 
     def test_factorization_consistency(self):
-        rep = run_h2_suite(CFG)
+        rep = run_h2_suite()
         row = next(r for r in rep.rows if r.case == "factorization-consistency")
         assert row.value <= 1e-10
 
 
 class TestStabilitySuite:
     def test_passes(self):
-        rep = run_stability_suite(CFG)
+        rep = run_stability_suite()
         assert rep.passed
 
     def test_ratio_drift_rows(self):
-        rep = run_stability_suite(CFG)
+        rep = run_stability_suite()
         for name in ("density", "diffusion", "potential", "joint"):
             row = next(r for r in rep.rows if r.case == f"{name}-ratio-drift")
             assert row.value < 2.0
@@ -81,11 +78,11 @@ class TestBoundSuite:
 
 class TestSmoothnessProbe:
     def test_passes(self):
-        rep = run_smoothness_probe(CFG)
+        rep = run_smoothness_probe()
         assert rep.passed
 
     def test_designed_failure_detected(self):
-        rep = run_smoothness_probe(CFG)
+        rep = run_smoothness_probe()
         row = next(r for r in rep.rows if r.case == "step-path-flagged")
         assert row.value > 100.0
 
@@ -101,11 +98,11 @@ class TestSmoothnessProbe:
 
 class TestHarness:
     def test_reports_reproducible(self):
-        a = run_decay_suite(CFG)
-        b = run_decay_suite(CFG)
+        a = run_decay_suite()
+        b = run_decay_suite()
         assert a.csv_rows() == b.csv_rows()
-        c = run_bound_suite(CFG)
-        d = run_bound_suite(CFG)
+        c = run_bound_suite()
+        d = run_bound_suite()
         assert c.csv_rows() == d.csv_rows()
 
     def test_summary_format(self, decay_report):
@@ -121,4 +118,4 @@ class TestHarness:
         for name, run in SUITES.items():
             assert callable(run)
             if name == "smoothness":
-                assert run(CFG).experiment == name
+                assert run().experiment == name

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import dodiff.weight as wt
+from conftest import reference_panels
 from dodiff import (
     DomainError,
     NumericError,
@@ -88,6 +89,13 @@ class TestSymbol:
         with pytest.raises(DomainError):
             eval_sw(const_weight, 0.0)
 
+    @pytest.mark.parametrize("s", [complex(np.nan, 1.0), complex(np.inf, 0.0)])
+    def test_non_finite_rejected(self, const_weight, s):
+        with pytest.raises(DomainError, match="not finite"):
+            eval_w(const_weight, s)
+        with pytest.raises(DomainError, match="not finite"):
+            check_symbol_bounds(const_weight, [(s, 1.0)])
+
     def test_near_cut_flagged(self, const_weight):
         with pytest.warns(wt.NearCutWarning):
             eval_sw(const_weight, np.exp(1j * 3.13))
@@ -102,6 +110,19 @@ class TestSymbol:
                 v64 = eval_w(w, s, order=64)
                 v128 = eval_w(w, s, order=128)
                 assert abs(v64 - v128) <= 1e-12 * abs(v128)
+
+
+@pytest.mark.parametrize("order", [16, 64])
+@pytest.mark.parametrize("max_exponent", [0.0, 149.0, 151.0, 1000.0])
+@pytest.mark.parametrize("family", ["const_weight", "box_half", "tapered"])
+def test_panels_match_sub_panel_reference(family, max_exponent, order, request):
+    # one mapper call per piece gives the bytes of mapping each sub-panel
+    # on its own; 149 and 151 sit either side of the first split
+    w = request.getfixturevalue(family)
+    nodes, wts = w.panels(order=order, max_exponent=max_exponent)
+    ref_nodes, ref_wts = reference_panels(w, order, max_exponent)
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    assert wts.tobytes() == ref_wts.tobytes()
 
 
 class TestEnvelopes:
