@@ -360,8 +360,6 @@ def dispatch(run: RunConfig) -> int:
         raise PreconditionError(
             f"--set {overridden[0]} needs --config: overrides apply to a config "
             f"document (use --seed to seed verify)")
-    out = Path(run.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     config_text = ""
     bundle = None
     if run.subcommand != "verify" or run.config_path:
@@ -371,6 +369,9 @@ def dispatch(run: RunConfig) -> int:
             run.seed = bundle.numerics["seed"]
     if run.seed is None:
         run.seed = vf.DEFAULT_SEED
+    # created only once the document parsed, so a rejected one writes nothing
+    out = Path(run.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     prov = provenance_lines(run, config_text)
     (out / "provenance.txt").write_text("\n".join(prov) + "\n")
     try:

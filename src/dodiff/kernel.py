@@ -52,12 +52,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, NumericError, PreconditionError
 from .spectral import SpectralBasis
-from .weight import WeightFunction, _gauss, gauss_on_edges, monotone_root, zeta_inv
+from .weight import WeightFunction, monotone_root, zeta_inv
 
 _LN10 = math.log(10.0)
 
@@ -76,6 +77,25 @@ _SPECTRAL_LOWER_RT = 1e-8
 _SPECTRAL_UPPER_RT = 40.0
 _SPECTRAL_TAIL_FLOOR = 1e-12
 _SPECTRAL_PANEL_WIDTH = 0.75
+
+
+@lru_cache(maxsize=32)
+def _gauss(order: int):
+    """Gauss-Legendre rule of ``order`` nodes on [-1, 1]: cached, shared, read-only."""
+    x, wq = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = wq.flags.writeable = False
+    return x, wq
+
+
+def gauss_on_edges(edges, order: int):
+    """Gauss-Legendre nodes and weights of ``order`` points on every panel
+    between consecutive edges, flattened panel by panel."""
+    x, wq = _gauss(order)
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    wts = 0.5 * (hi - lo) * np.broadcast_to(wq, nodes.shape)
+    return nodes.ravel(), wts.ravel()
 
 
 @dataclass(frozen=True)
@@ -202,7 +222,7 @@ def _contour_block(times, lambdas, w: WeightFunction, cfg: KernelConfig | None,
                    spec: ContourSpec | None, response: bool):
     """The contour quadrature behind every kernel pair.
 
-    All times share one contour, so the symbol quadrature is evaluated once
+    All times share one contour, so the symbol is evaluated once
     and only the exponential factor varies; times are chunked to bound the
     working set.  The pairs differ only in the factor multiplying
     1/(s w(s) + lambda) at each node: w(s) and 1 for (E, G), s^-1 and s^-2
@@ -221,10 +241,7 @@ def _contour_block(times, lambdas, w: WeightFunction, cfg: KernelConfig | None,
         B = np.empty_like(A)
         lo = 0
         while lo < len(order):
-            t_lo = times[order[lo]]
-            hi = lo
-            while hi < len(order) and times[order[hi]] <= 1e3 * t_lo:
-                hi += 1
+            hi = np.searchsorted(times[order], 1e3 * times[order[lo]], side="right")
             idx = order[lo:hi]
             A[idx], B[idx] = _contour_block(times[idx], lambdas, w, cfg, None,
                                             response)
@@ -384,10 +401,8 @@ class KernelTable:
     G: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", np.asarray(self.modes, dtype=int))
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "E", np.asarray(self.E, dtype=float))
-        object.__setattr__(self, "G", np.asarray(self.G, dtype=float))
+        for name, kind in (("modes", int), ("times", float), ("E", float), ("G", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=kind))
         shape = (len(self.modes), len(self.times))
         if self.E.shape != shape or self.G.shape != shape:
             raise PreconditionError("kernel table shape mismatch")

@@ -115,11 +115,8 @@ def run_decay_suite(seed: int = DEFAULT_SEED) -> ExperimentReport:
                    note=f"inconclusive: {exc}")
 
     # smooth data: time-derivative norm through the kernel identity
-    dt_norms = []
-    for t in ts:
-        _, G = kn.eval_kernel_block([t], basis.eigenvalues, w)
-        dt_norms.append(np.sqrt(np.sum(
-            (basis.eigenvalues * G[0]) ** 2 * c0 ** 2)))
+    _, G = kn.eval_kernel_block(ts, basis.eigenvalues, w)
+    dt_norms = np.sqrt(np.sum((basis.eigenvalues * G) ** 2 * c0 ** 2, axis=1))
     slope = np.polyfit(np.log(ts), np.log(dt_norms), 1)[0]
     bound = -(1.0 - w.alpha0 * 1.0) - 0.15
     report.add("smooth-data-dt-norm", slope, f"slope >= {bound}", slope >= bound)

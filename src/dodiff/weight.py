@@ -21,9 +21,14 @@ bounds |s w(s)| <= sup|mu| * zeta(|s|), and so |w(s)| <= sup|mu| * zeta(|s|)/|s|
 zeta is strictly monotone, so it has an inverse; the kernel module uses
 zeta_inv to pick admissible contour radii.
 
-The Gauss-Legendre rule table (``_gauss``, cached per order) and the panel
-mapper ``gauss_on_edges`` live here and serve the kernel module's contour
-and log r grids as well.
+The symbol is exact per polynomial piece p on [a, b], h = b - a:
+
+    int_a^b p(alpha) e^((alpha + offset) L) d(alpha)
+        = h e^((a + offset) L) sum_j (-h)^j p^(j)(b) phi_(j+1)(h L),
+
+with the exponential-integrator functions phi_1(z) = (e^z - 1)/z,
+phi_(k+1)(z) = (phi_k(z) - 1/k!)/z (Hochbruck and Ostermann, Acta Numerica
+19, 2010): a Taylor series below |hL| = 2, the recurrence above it.
 
 All functions here are pure and the weight objects are immutable, so
 concurrent use from any number of workers is safe.
@@ -34,7 +39,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -42,17 +46,10 @@ from numpy.polynomial import polynomial as npoly
 from . import textio
 from .errors import DomainError, NumericError, PreconditionError
 
-# Gauss-Legendre nodes per panel of the symbol quadrature, the one order
-# every symbol evaluation uses; tests compare it against other orders
-DEFAULT_QUAD_ORDER = 64
-# Gauss-Legendre of order n on a panel resolves exp(c*alpha) only while
-# |Re c| * width stays below a few hundred; panels are split to keep the
-# per-panel exponent range under this bound.
-_MAX_PANEL_EXPONENT = 150.0
-
-# evaluation points per exponential block, bounding the working set of a
-# symbol evaluation
-_POINT_CHUNK = 256
+# Taylor terms below |hL| = 2, where the first one dropped is under 2^28/29!
+# of the leading one; switching at |hL| = 1 loses 1.2e-12 on a degree-10 piece
+_TAYLOR_TERMS = 28
+_TAYLOR_RADIUS = 2.0
 
 _CERT_SAMPLES = 512
 _DENSE_SAMPLES = 2048
@@ -62,24 +59,30 @@ class NearCutWarning(UserWarning):
     """Evaluation requested very close to the branch cut (|arg s| > 3.1)."""
 
 
-@lru_cache(maxsize=32)
-def _gauss(order: int):
-    """The Gauss-Legendre rule of ``order`` nodes on [-1, 1], built once per
-    order; the arrays are shared between callers, so they are read-only."""
-    x, wq = np.polynomial.legendre.leggauss(order)
-    x.flags.writeable = wq.flags.writeable = False
-    return x, wq
-
-
-def gauss_on_edges(edges, order: int):
-    """Gauss-Legendre nodes and weights of ``order`` points on every panel
-    between consecutive edges, flattened panel by panel."""
-    x, wq = _gauss(order)
-    edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-    wts = 0.5 * (hi - lo) * np.broadcast_to(wq, nodes.shape)
-    return nodes.ravel(), wts.ravel()
+def _piece_moment(logs, a, b, offset, scaled, taylor):
+    """h e^((a + offset) L) sum_j scaled[j] phi_(j+1)(hL) over the piece
+    [a, b], from the Taylor coefficients (highest degree first) of the sum
+    or the recurrence on e^((a + offset) L) phi_k, started from the two end
+    exponentials so that one underflowing never meets phi_1 overflowing."""
+    z = (b - a) * logs
+    out = np.empty_like(z)
+    small = np.abs(z) < _TAYLOR_RADIUS
+    if small.any():
+        zs = z[small]
+        acc = np.zeros_like(zs)
+        for c in taylor:
+            acc = acc * zs + c
+        out[small] = np.exp((a + offset) * logs[small]) * acc
+    if not small.all():
+        zl, ll = z[~small], logs[~small]
+        start = np.exp((a + offset) * ll)
+        psi = (np.exp((b + offset) * ll) - start) / zl
+        acc = scaled[0] * psi
+        for k in range(1, len(scaled)):
+            psi = (psi - start / math.factorial(k)) / zl
+            acc += scaled[k] * psi
+        out[~small] = acc
+    return (b - a) * out
 
 
 @dataclass(frozen=True)
@@ -127,6 +130,17 @@ class WeightFunction:
         if self.alpha1 is not None and not (self.alpha0 < self.alpha1 < 1.0):
             raise PreconditionError(f"alpha1 = {self.alpha1} outside (alpha0, 1)")
         self._check_samples()
+        # per nonzero piece: its ends, (-h)^j p^(j)(b) and the Taylor
+        # coefficients sum_j (-h)^j p^(j)(b) / (m + j + 1)! of the phi sum
+        pieces = []
+        for a, b, c in zip(bp[:-1], bp[1:], cf):
+            if np.any(c != 0.0):
+                scaled = tuple((a - b) ** j * npoly.polyval(b, npoly.polyder(c, j))
+                               for j in range(len(c)))
+                taylor = tuple(sum(g / math.factorial(m + j + 1) for j, g in enumerate(scaled))
+                               for m in reversed(range(_TAYLOR_TERMS)))
+                pieces.append((a, b, scaled, taylor))
+        object.__setattr__(self, "_pieces", tuple(pieces))
 
     def _check_samples(self):
         grid = np.linspace(0.0, 1.0, _DENSE_SAMPLES)
@@ -152,54 +166,26 @@ class WeightFunction:
                     "upper-cutoff invariant violated: mu != 0 on (alpha1, 1)"
                 )
 
-    def _piece_index(self, alpha):
-        idx = np.searchsorted(self.breakpoints, alpha, side="right") - 1
-        return np.clip(idx, 0, len(self.coeffs) - 1)
-
     def _eval_many(self, alpha: np.ndarray) -> np.ndarray:
         alpha = np.asarray(alpha, dtype=float)
         out = np.empty_like(alpha)
-        idx = self._piece_index(alpha)
+        idx = np.clip(np.searchsorted(self.breakpoints, alpha, side="right") - 1,
+                      0, len(self.coeffs) - 1)
         for k, c in enumerate(self.coeffs):
-            mask = idx == k
-            if np.any(mask):
-                out[mask] = npoly.polyval(alpha[mask], c)
+            out[idx == k] = npoly.polyval(alpha[idx == k], c)
         return out
 
-    def panels(self, order: int = DEFAULT_QUAD_ORDER, max_exponent: float = 0.0):
-        """Gauss-Legendre nodes/weights/density per piece, pieces that are
-        identically zero skipped.  ``max_exponent`` is the largest |Re(log s)|
-        the caller will use; panels are subdivided so the quadrature stays in
-        its accuracy envelope for exponentials of that scale."""
-        nodes, wts = [], []
-        for k, c in enumerate(self.coeffs):
-            if np.all(c == 0.0):
-                continue
-            a, b = self.breakpoints[k], self.breakpoints[k + 1]
-            nsub = max(1, int(np.ceil(max_exponent * (b - a) / _MAX_PANEL_EXPONENT)))
-            al, wq = gauss_on_edges(np.linspace(a, b, nsub + 1), order)
-            nodes.append(al)
-            wts.append(wq * npoly.polyval(al, c))
-        if not nodes:
-            return np.zeros(0), np.zeros(0)
-        return np.concatenate(nodes), np.concatenate(wts)
-
-    def power_moments(self, logs, offset: float = 0.0, order: int = DEFAULT_QUAD_ORDER):
+    def power_moments(self, logs, offset: float = 0.0):
         """Vectorized ``int_0^1 exp((alpha + offset) * logs) mu(alpha) d(alpha)``.
 
         ``logs`` is an array of (complex) logarithms of the evaluation
-        points; this is the single quadrature every symbol evaluation
-        reduces to.
+        points; every symbol evaluation reduces to this sum of exact piece
+        integrals.
         """
         logs = np.atleast_1d(np.asarray(logs, dtype=complex))
-        max_exp = float(np.max(np.abs(logs.real))) if logs.size else 0.0
-        al, wt = self.panels(order=order, max_exponent=max_exp)
-        if al.size == 0:
-            return np.zeros(logs.shape, dtype=complex)
-        out = np.empty(logs.shape, dtype=complex)
-        for lo in range(0, len(logs), _POINT_CHUNK):
-            terms = np.multiply.outer(logs[lo:lo + _POINT_CHUNK], al + offset)
-            out[lo:lo + _POINT_CHUNK] = np.exp(terms, out=terms) @ wt
+        out = np.zeros(logs.shape, dtype=complex)
+        for a, b, scaled, taylor in self._pieces:
+            out += _piece_moment(logs, a, b, offset, scaled, taylor)
         return out
 
 
@@ -332,14 +318,14 @@ def _checked_logs(s) -> np.ndarray:
     return np.log(s)
 
 
-def eval_w(w: WeightFunction, s: complex, order: int = DEFAULT_QUAD_ORDER) -> complex:
+def eval_w(w: WeightFunction, s: complex) -> complex:
     """Laplace symbol w(s) = int_0^1 s^(alpha-1) mu(alpha) d(alpha)."""
-    return complex(w.power_moments(_checked_logs(s), offset=-1.0, order=order)[0])
+    return complex(w.power_moments(_checked_logs(s), offset=-1.0)[0])
 
 
-def eval_sw(w: WeightFunction, s: complex, order: int = DEFAULT_QUAD_ORDER) -> complex:
+def eval_sw(w: WeightFunction, s: complex) -> complex:
     """s*w(s) = int_0^1 s^alpha mu(alpha) d(alpha), the resolvent symbol."""
-    return complex(w.power_moments(_checked_logs(s), offset=0.0, order=order)[0])
+    return complex(w.power_moments(_checked_logs(s), offset=0.0)[0])
 
 
 def zeta_env(r: float) -> float:

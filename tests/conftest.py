@@ -3,7 +3,6 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as npoly
 from scipy.linalg import solve_banded
 from scipy.special import rgamma
 
@@ -72,28 +71,6 @@ def direct_oracle(coeffs, w, u0, source, cfg) -> GridField:
         u[k, 0] = u[k, -1] = 0.0
         diffs[k] = interior - u[k - 1, 1:-1]
     return GridField(times=cfg.dt * np.arange(cfg.steps + 1), grid=x, values=u)
-
-
-def reference_panels(w, order, max_exponent):
-    """Gauss-Legendre nodes and density-weighted weights of a weight's
-    symbol quadrature, mapped sub-panel by sub-panel: the reference for the
-    bytes of ``WeightFunction.panels``."""
-    x, wq = np.polynomial.legendre.leggauss(order)
-    nodes, wts = [], []
-    for k, c in enumerate(w.coeffs):
-        if np.all(c == 0.0):
-            continue
-        a, b = w.breakpoints[k], w.breakpoints[k + 1]
-        nsub = 1
-        if max_exponent > 0.0:
-            nsub = max(1, int(np.ceil(max_exponent * (b - a) / 150.0)))
-        edges = np.linspace(a, b, nsub + 1)
-        for j in range(nsub):
-            lo, hi = edges[j], edges[j + 1]
-            al = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-            nodes.append(al)
-            wts.append(0.5 * (hi - lo) * wq * npoly.polyval(al, c))
-    return np.concatenate(nodes), np.concatenate(wts)
 
 
 def reference_write_csv(path, header, rows, comments=None) -> None:

@@ -139,6 +139,8 @@ BAD_VALUES = {
                     "problem.times", "','"),
     "coeffs-nan": (TAPERED.replace("coeffs = 1 ;", "coeffs = nan ;"),
                    "weight.coeffs", "'nan'"),
+    "unknown-key": (MINIMAL + "\n[numerics]\nstesp = 5\n", "numerics.stesp",
+                    "unknown config key"),
 }
 
 
@@ -158,7 +160,7 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error[{subcommand}]: ") and name in err and text in err
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, key, doc", [
         ("numerics", "stesp", MINIMAL + "\n[numerics]\nstesp = 5\n"),

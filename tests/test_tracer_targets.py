@@ -69,6 +69,19 @@ def test_csv_counter_reads_rows_and_bytes(tmp_path):
     assert counts == [{"rows": 3 * 7, "bytes": path.stat().st_size}]
 
 
+def test_point_counter_reads_logs(const_weight):
+    # weight.power_moments.points must count the points of every symbol call
+    tracer = load_tracer()
+    logs = np.log(np.linspace(0.5, 4.0, 37)) + 0.5j
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        const_weight.power_moments(logs)
+    finally:
+        tr.uninstall()
+    assert list(tr.counts.values()) == [{"points": logs.size}]
+
+
 # loose ceilings: far above the values the probes give, far below a break
 PROBE_CEILINGS = {"source": 1e-6, "kernel": 1e-6, "oracle": 0.02}
 

@@ -1,11 +1,14 @@
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
 import dodiff.weight as wt
-from conftest import reference_panels
 from dodiff import (
     DomainError,
     NumericError,
@@ -100,29 +103,102 @@ class TestSymbol:
         with pytest.warns(wt.NearCutWarning):
             eval_sw(const_weight, np.exp(1j * 3.13))
 
-    def test_quadrature_doubling(self, const_weight, box_half):
-        rng = np.random.default_rng(7)
-        rs = np.exp(rng.uniform(np.log(1e-4), np.log(1e4), 24))
-        betas = rng.uniform(0.0, 3.05, 24)
-        for w in (const_weight, box_half):
-            for r, b in zip(rs, betas):
-                s = r * np.exp(1j * b)
-                v64 = eval_w(w, s, order=64)
-                v128 = eval_w(w, s, order=128)
-                assert abs(v64 - v128) <= 1e-12 * abs(v128)
+
+def exact_moment(w, L, offset=0.0):
+    """``int_0^1 exp((alpha + offset) L) mu(alpha) d(alpha)`` from the exact
+    antiderivative sum_m (-1)^m p^(m)(alpha) e^((alpha + offset) L) / L^(m+1)
+    of each piece, in 50 digits plus the ones its cancellation near L = 0
+    costs."""
+    total = mp.mpc(0)
+    for k, c in enumerate(w.coeffs):
+        if np.all(c == 0.0):
+            continue
+        a, b = (mp.mpf(float(x)) for x in w.breakpoints[k:k + 2])
+        if L == 0:
+            total += sum(mp.mpf(float(ci)) * (b ** (i + 1) - a ** (i + 1)) / (i + 1)
+                         for i, ci in enumerate(c))
+            continue
+        lost = len(c) * max(0, math.ceil(-math.log10(abs(L))))
+        with mp.workdps(50 + lost):
+            Lm = mp.mpc(L.real, L.imag)
+            # p^(m), highest degree first, differentiated exactly in mp
+            derivs = [[mp.mpf(float(ci)) for ci in c[::-1]]]
+            for _ in c[1:]:
+                d = derivs[-1]
+                derivs.append([ci * (len(d) - 1 - i) for i, ci in enumerate(d[:-1])])
+
+            def antiderivative(al):
+                return mp.exp((al + offset) * Lm) * sum(
+                    (-1) ** m * mp.polyval(d, al) / Lm ** (m + 1)
+                    for m, d in enumerate(derivs))
+
+            total += antiderivative(b) - antiderivative(a)
+    return complex(total)
 
 
-@pytest.mark.parametrize("order", [16, 64])
-@pytest.mark.parametrize("max_exponent", [0.0, 149.0, 151.0, 1000.0])
-@pytest.mark.parametrize("family", ["const_weight", "box_half", "tapered"])
-def test_panels_match_sub_panel_reference(family, max_exponent, order, request):
-    # one mapper call per piece gives the bytes of mapping each sub-panel
-    # on its own; 149 and 151 sit either side of the first split
-    w = request.getfixturevalue(family)
-    nodes, wts = w.panels(order=order, max_exponent=max_exponent)
-    ref_nodes, ref_wts = reference_panels(w, order, max_exponent)
-    assert nodes.tobytes() == ref_nodes.tobytes()
-    assert wts.tobytes() == ref_wts.tobytes()
+def cubic_weight():
+    # a cubic piece between two others, one of them zero
+    c = np.array([0.3, -1.1, 2.0, 1.5])
+    return WeightFunction(np.array([0.0, 0.2, 0.9, 1.0]),
+                          (np.array([1.0]), c, np.array([0.0])), alpha0=0.5,
+                          delta=0.1, mu_at_alpha0=float(npoly.polyval(0.5, c)),
+                          sup_norm=2.1)
+
+
+def degree10_weight():
+    c = np.array([1.0, 0.5, -0.3, 0.2, 0.1, -0.05, 0.02, 0.01, -0.005, 0.002, 0.001])
+    return WeightFunction(np.array([0.0, 1.0]), (c,), alpha0=0.5, delta=0.2,
+                          mu_at_alpha0=float(npoly.polyval(0.5, c)), sup_norm=2.0)
+
+
+def moment_points(w):
+    """Points on the cut (u + i pi, u from -1000 to 40), scattered points
+    with |Re L| up to 1000, |hL| either side of 1 and of the Taylor radius 2
+    for every piece width h, and points at and near 0."""
+    rng = np.random.default_rng(5)
+    widths = [b - a for a, b, c in zip(w.breakpoints[:-1], w.breakpoints[1:],
+                                       w.coeffs) if np.any(c != 0.0)]
+    turns = np.exp(1j * np.array([0.0, 1.0, 2.0, 3.1]))
+    return np.concatenate([
+        np.linspace(-1000.0, 40.0, 53) + 1j * np.pi,
+        rng.uniform(-1000.0, 1000.0, 30) + 1j * rng.uniform(-np.pi, np.pi, 30),
+        rng.uniform(-60.0, 60.0, 30) + 1j * rng.uniform(-np.pi, np.pi, 30),
+        *[np.outer([1.0 - 1e-9, 1.0 + 1e-9, 2.0 - 1e-9, 2.0 + 1e-9],
+                   turns).ravel() / h for h in widths],
+        [0.0, 1e-12, 1e-6j, 1e-3 * (1.0 - 1.0j)],
+    ])
+
+
+@pytest.mark.parametrize("offset", [0.0, -1.0])
+@pytest.mark.parametrize("family", ["const_weight", "box_half", "tapered",
+                                    "cubic", "degree10"])
+def test_power_moments_exact_per_point(family, offset, request):
+    # relative to the exact value wherever it is a normal double with a
+    # factor |L| of headroom (the end value e^((b + offset) L) is formed
+    # before its division by hL); 4e-16 |L| is what rounding (a + offset) L
+    # alone costs
+    w = {"cubic": cubic_weight, "degree10": degree10_weight}.get(
+        family, lambda: request.getfixturevalue(family))()
+    logs = moment_points(w)
+    with np.errstate(over="ignore", invalid="ignore"):  # points past the range
+        got = w.power_moments(logs, offset=offset)
+    checked = 0
+    for L, value in zip(logs, got):
+        ref = exact_moment(w, complex(L), offset)
+        if not np.finfo(float).tiny <= abs(ref) <= np.finfo(float).max / max(1.0, abs(L)):
+            continue
+        tol = max(1e-14, 4e-16 * abs(L))
+        assert abs(value - ref) <= tol * abs(ref), (L, value, ref)
+        checked += 1
+    assert checked >= 0.8 * len(logs)
+
+
+def test_power_moments_one_call_matches_per_point(tapered):
+    logs = moment_points(tapered)
+    with np.errstate(over="ignore", invalid="ignore"):
+        one = tapered.power_moments(logs)
+        each = np.concatenate([tapered.power_moments(L) for L in logs])
+    assert np.array_equal(one, each, equal_nan=True)
 
 
 class TestEnvelopes:
