@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import ast
 import functools
+import math
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -30,19 +31,33 @@ from . import verify as vf
 from . import weight as wt
 from .errors import DomainError, NumericError, PreconditionError
 
-# the keys of each section; those of [weight] depend on its type and are
-# checked by the weight parser
-_KEYS = {
-    "operator": {"kind", "a", "q", "l", "c_a", "m", "n"},
-    "problem": {"u0", "source", "t", "times", "kappas"},
-    "numerics": {"duhamel_nodes", "seed", "theta", "dt", "steps", "alpha_nodes"},
-}
-_RANGES = {
-    "operator.n": (1, 4096),
-    "operator.m": (3, 100001),
-    "numerics.duhamel_nodes": (16, 65536),
-    "numerics.alpha_nodes": (2, 512),
-    "numerics.steps": (1, 10_000_000),
+_POSITIVE = textio.Interval(0.0, math.inf, "()")
+
+# Every key of [operator], [problem] and [numerics]: its type (str for text),
+# its default and, for a number, the interval it must lie in (None: any).  A
+# default of None is worked out from other keys: operator.c_a is the least
+# a(x) on [0, L], problem.times eight times evenly spaced on (0, T] and
+# numerics.steps T/dt.
+_SCHEMA = {
+    "operator.kind": (str, "dirichlet", None),
+    "operator.l": (float, math.pi, _POSITIVE),
+    "operator.n": (int, 64, textio.Interval(1, 4096)),
+    "operator.m": (int, 201, textio.Interval(3, 100001)),
+    "operator.a": (str, "1.0", None),
+    "operator.q": (str, "0.0", None),
+    "operator.c_a": (float, None, _POSITIVE),
+    "problem.u0": (str, "modes: 1", None),
+    "problem.source": (str, "none", None),
+    "problem.t": (float, 1.0, _POSITIVE),
+    "problem.times": (str, None, None),
+    "problem.kappas": (str, "0.5 1.0", None),
+    "numerics.duhamel_nodes": (int, sv.DUHAMEL_NODES, textio.Interval(16, 65536)),
+    "numerics.seed": (int, vf.DEFAULT_SEED, None),
+    "numerics.theta": (float, kn.KernelConfig.theta,
+                       textio.Interval(math.pi / 2, math.pi, "()")),
+    "numerics.dt": (float, 1e-3, _POSITIVE),
+    "numerics.steps": (int, None, textio.Interval(1, 10_000_000)),
+    "numerics.alpha_nodes": (int, oc.OracleConfig.alpha_nodes, textio.Interval(2, 512)),
 }
 
 
@@ -70,19 +85,22 @@ class ProblemBundle:
     horizon: float
     times: np.ndarray
     kappas: tuple
-    grid_points: int
+    grid_points: int  # of the oracle's grid
     numerics: dict
 
 
-def _number(body: dict, name: str, default: str, cast=float):
-    """The scalar ``name`` (``section.key``) from its section's body, or the
-    default, checked against its range in ``_RANGES`` if it has one."""
-    value = textio.parse_number(body.get(name.split(".", 1)[1], default), name, cast)
-    if name in _RANGES:
-        lo, hi = _RANGES[name]
-        if not lo <= value <= hi:
-            raise PreconditionError(f"{name} = {value} outside [{lo}, {hi}]")
-    return value
+def _value(sections: dict, name: str, default=None):
+    """Key ``name`` (``section.key``) of ``_SCHEMA``: its text, a number read
+    from it and checked against its interval, or its default (``default``
+    where the table has None, checked as well)."""
+    cast, fallback, interval = _SCHEMA[name]
+    section, key = name.split(".")
+    text = sections.get(section, {}).get(key)
+    if text is None:
+        if fallback is not None or default is None:
+            return fallback
+        text = repr(default)
+    return text if cast is str else textio.parse_number(text, name, cast, interval)
 
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt,
@@ -103,9 +121,7 @@ def _expression(expr: str):
     expr = expr.strip()
     try:
         tree = ast.parse(expr, mode="eval").body
-    except SyntaxError as exc:
-        raise PreconditionError(f"cannot parse expression {expr!r}: {exc.msg}")
-    except (ValueError, RecursionError, MemoryError) as exc:
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         # NUL bytes and deep nesting fail in the parser itself on some
         # Python versions
         raise PreconditionError(f"cannot parse expression {expr!r}: {exc}")
@@ -142,34 +158,34 @@ def _expression(expr: str):
 def parse_config(text: str, overrides: dict | None = None) -> ProblemBundle:
     """Parse and validate one config document into live objects.
 
-    Schema: [weight] as read by ``weight.weight_from_mapping``; [operator]
-    keys kind (dirichlet|fd), a, q, L, c_a, M, N; [problem] keys u0
-    (``modes: c1 c2 ...`` or ``profile: sine|parabola``), source (``none``,
-    ``modes: ...`` constant in time), T, times, kappas; [numerics] keys
-    duhamel_nodes, seed, theta, dt, steps, alpha_nodes.  Keys
-    are case-insensitive; any other section or key is rejected.
+    [weight] is read by ``weight.weight_from_mapping``, the other sections
+    by ``_SCHEMA``.  Keys are case-insensitive; any other section or key is
+    rejected.
     """
     sections = textio.parse_document(text, overrides)
     for name, body in sections.items():
         if name == "weight":
             continue
-        if name not in _KEYS:
+        if not any(k.startswith(f"{name}.") for k in _SCHEMA):
             raise PreconditionError(f"unknown config section [{name}]")
         for key in body:
-            if key not in _KEYS[name]:
+            if f"{name}.{key}" not in _SCHEMA:
                 raise PreconditionError(f"unknown config key {name}.{key}")
 
-    weight = wt.weight_from_mapping(sections.get("weight", {"type": "constant"}))
+    weight = wt.weight_from_mapping(sections.get("weight", {}))
 
     op = sections.get("operator", {})
-    kind = op.get("kind", "dirichlet").strip().lower()
-    length = _number(op, "operator.l", repr(np.pi))
-    n_modes = _number(op, "operator.n", "64", int)
-    a_fn = _expression(op.get("a", "1.0"))
-    q_fn = _expression(op.get("q", "0.0"))
-    c_a = _number(op, "operator.c_a", "0") or float(np.min(a_fn(np.linspace(0, length, 257))))
+    kind = _value(sections, "operator.kind").strip().lower()
+    length = _value(sections, "operator.l")
+    n_modes = _value(sections, "operator.n")
+    a_fn = _expression(_value(sections, "operator.a"))
+    q_fn = _expression(_value(sections, "operator.q"))
+    c_a = (_value(sections, "operator.c_a") if "c_a" in op
+           else float(np.min(a_fn(np.linspace(0, length, 257)))))
     elliptic = sp.EllipticCoefficients(a=a_fn, q=q_fn, c_a=c_a, length=length)
-    M = _number(op, "operator.m", "201", int)
+    M = _value(sections, "operator.m")
+    # the oracle's grid: M points, or N + 2 for more modes (fd rejects those)
+    grid_points = max(M, n_modes + 2)
     if kind == "dirichlet":
         # the closed-form sine basis is that of -u'': it would silently drop
         # a and q, which the oracle does step with
@@ -183,81 +199,76 @@ def parse_config(text: str, overrides: dict | None = None) -> ProblemBundle:
     elif kind == "fd":
         basis = sp.build_fd(elliptic, M, n_modes)
     else:
-        raise PreconditionError(f"unknown operator kind {kind!r}")
+        raise PreconditionError(
+            f"operator.kind = {op['kind'].strip()!r} is not dirichlet or fd")
 
-    pr = sections.get("problem", {})
-    horizon = _number(pr, "problem.t", "1.0")
-    if horizon <= 0.0:
-        raise PreconditionError(f"problem.t = {pr['t'].strip()!r} must be positive")
-    times = textio.parse_array(pr["times"], "problem.times") if pr.get("times") \
-        else np.linspace(horizon / 8.0, horizon, 8)
+    horizon = _value(sections, "problem.t")
+    times_text = _value(sections, "problem.times")
+    if times_text:
+        # times within T to rounding still lie in (0, T]
+        times = textio.parse_array(times_text, "problem.times",
+                                   textio.Interval(0.0, horizon * (1 + 1e-12), "(]"))
+    else:
+        times = np.linspace(horizon / 8.0, horizon, 8)
     if times.size == 0:
-        raise PreconditionError(f"problem.times = {pr['times'].strip()!r} lists no time")
-    if np.any(times <= 0.0) or np.any(times > horizon * (1 + 1e-12)):
-        raise PreconditionError("problem.times must lie inside (0, T]")
-    kappas = tuple(textio.parse_array(pr.get("kappas", "0.5 1.0"), "problem.kappas"))
-    if any(not 0.0 <= k <= 1.0 for k in kappas):
-        raise PreconditionError("problem.kappas must lie in [0, 1]")
+        raise PreconditionError(f"problem.times = {times_text!r} lists no time")
+    kappas = tuple(textio.parse_array(_value(sections, "problem.kappas"),
+                                      "problem.kappas", textio.Interval(0.0, 1.0)))
 
-    u0_spec = pr.get("u0", "modes: 1").strip()
-    profile_fns = {
-        "sine": lambda x: np.sin(np.pi * x / length),
-        "parabola": lambda x: x * (length - x),
-    }
+    # built at the first call, so that modes: data reach the oracle as the
+    # series at its own nodes; an fd basis is on them already
+    oracle_basis = functools.cache(lambda: basis if kind == "fd" else
+                                   sp.build_exact_dirichlet(length, n_modes, grid_points))
+
+    def modes(spec, name):
+        """The coefficients of a ``modes: c1 c2 ...`` value, zero-padded to N,
+        and x -> their field interpolated at x, synthesized on the oracle's
+        grid at the first call."""
+        c = textio.parse_array(spec.split(":", 1)[1], name)
+        if c.size > n_modes:
+            raise PreconditionError(f"{name} = {spec!r} lists {c.size} coefficients "
+                                    f"for N = {n_modes} modes")
+        c = np.pad(c, (0, n_modes - c.size))
+        values = functools.cache(lambda: sp.synthesize(oracle_basis(), c))
+        return c, lambda x: np.interp(np.asarray(x, dtype=float), oracle_basis().grid,
+                                      values())
+
+    u0_spec = _value(sections, "problem.u0").strip()
+    profile_fns = {"sine": lambda x: np.sin(np.pi * x / length),
+                   "parabola": lambda x: x * (length - x)}
     if u0_spec.startswith("modes:"):
-        c0 = sp.coefficients_from_text(u0_spec.split(":", 1)[1], n_modes,
-                                       "problem.u0")
-        u0_fn = _synth_on(basis, c0)
+        c0, u0_fn = modes(u0_spec, "problem.u0")
     elif u0_spec.startswith("profile:"):
         name = u0_spec.split(":", 1)[1].strip()
         if name not in profile_fns:
-            raise PreconditionError(f"unknown u0 profile {name!r}")
+            raise PreconditionError(
+                f"problem.u0 = {u0_spec!r}: the profile is not sine or parabola")
         u0_fn = profile_fns[name]
         c0 = sp.project(basis, u0_fn(basis.grid))
     else:
         raise PreconditionError(f"problem.u0 descriptor {u0_spec!r} not recognized")
 
-    src_spec = pr.get("source", "none").strip()
+    src_spec = _value(sections, "problem.source").strip()
     if src_spec == "none":
         src_coeffs = src_profile = None
     elif src_spec.startswith("modes:"):
-        g = sp.coefficients_from_text(src_spec.split(":", 1)[1], n_modes,
-                                      "problem.source")
-        src_coeffs = (lambda gg: (lambda t: gg))(g)
-        g_on = _synth_on(basis, g)
-        src_profile = lambda t, x: g_on(x)
+        g, g_on = modes(src_spec, "problem.source")
+        src_coeffs, src_profile = (lambda t: g), (lambda t, x: g_on(x))
     else:
         raise PreconditionError(f"problem.source descriptor {src_spec!r} not recognized")
 
-    nm = sections.get("numerics", {})
-    dt = _number(nm, "numerics.dt", "1e-3")
-    if dt <= 0.0:
-        raise PreconditionError(f"numerics.dt = {nm['dt'].strip()!r} must be positive")
+    dt = _value(sections, "numerics.dt")
     # capped so that a tiny dt lands in the range check, not in an overflow
-    default_steps = max(1, int(round(min(horizon / dt, 1e9))))
-    numerics = {
-        "duhamel_nodes": _number(nm, "numerics.duhamel_nodes", "256", int),
-        "seed": _number(nm, "numerics.seed", str(vf.DEFAULT_SEED), int),
-        "theta": _number(nm, "numerics.theta", repr(3 * np.pi / 4)),
-        "dt": dt,
-        "steps": _number(nm, "numerics.steps", str(default_steps), int),
-        "alpha_nodes": _number(nm, "numerics.alpha_nodes", "32", int),
-    }
-    if not (np.pi / 2 < numerics["theta"] < np.pi):
-        raise PreconditionError(f"numerics.theta = {numerics['theta']} outside (pi/2, pi)")
+    steps = max(1, int(round(min(horizon / dt, 1e9))))
+    derived = {"numerics.steps": steps}
+    numerics = {name.split(".")[1]: _value(sections, name, derived.get(name))
+                for name in _SCHEMA if name.startswith("numerics.")}
 
     return ProblemBundle(weight=weight, elliptic=elliptic, basis=basis,
                          initial_coeffs=c0, initial_profile=u0_fn,
                          source_coeffs=src_coeffs, source_profile=src_profile,
                          horizon=horizon, times=np.asarray(times, dtype=float),
-                         kappas=kappas, grid_points=M, numerics=numerics)
-
-
-def _synth_on(basis, coeffs):
-    """x -> the field of ``coeffs`` interpolated at x, synthesized on the
-    basis grid once, at the first call."""
-    values = functools.cache(lambda: sp.synthesize(basis, coeffs))
-    return lambda x: np.interp(np.asarray(x, dtype=float), basis.grid, values())
+                         kappas=kappas, grid_points=grid_points, numerics=numerics)
 
 
 def provenance_lines(run: RunConfig, config_text: str) -> list[str]:
@@ -327,10 +338,15 @@ def _cmd_solve(run: RunConfig, bundle: ProblemBundle, prov: list[str]) -> int:
 
 
 def _cmd_oracle(run: RunConfig, bundle: ProblemBundle, prov: list[str]) -> int:
-    cfg = oc.OracleConfig(dt=bundle.numerics["dt"], steps=bundle.numerics["steps"],
-                          grid_points=max(bundle.grid_points,
-                                          bundle.basis.n_modes + 2),
-                          alpha_nodes=bundle.numerics["alpha_nodes"])
+    nm = bundle.numerics
+    cfg = oc.OracleConfig(dt=nm["dt"], steps=nm["steps"], grid_points=bundle.grid_points,
+                          alpha_nodes=nm["alpha_nodes"])
+    # checked before stepping: the history sum is O(K^2 M)
+    for j, t in enumerate(bundle.times):
+        if oc.time_index(cfg.step_times, t) is None:
+            raise PreconditionError(
+                f"problem.times[{j}] = {float(t)!r} is not a step k*dt of "
+                f"numerics.dt = {cfg.dt!r} with k <= numerics.steps = {cfg.steps}")
     field = oc.solve_oracle(bundle.elliptic, bundle.weight,
                             bundle.initial_profile, bundle.source_profile, cfg)
     _field_csv(Path(run.out_dir) / "oracle_field.csv", field, bundle.times, prov)
@@ -365,28 +381,18 @@ def dispatch(run: RunConfig) -> int:
     if run.subcommand != "verify" or run.config_path:
         config_text = Path(run.config_path).read_text()
         bundle = parse_config(config_text, run.overrides)
-        if run.seed is None:
-            run.seed = bundle.numerics["seed"]
     if run.seed is None:
-        run.seed = vf.DEFAULT_SEED
+        run.seed = bundle.numerics["seed"] if bundle else vf.DEFAULT_SEED
     # created only once the document parsed, so a rejected one writes nothing
     out = Path(run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     prov = provenance_lines(run, config_text)
     (out / "provenance.txt").write_text("\n".join(prov) + "\n")
-    try:
-        if run.subcommand == "kernel":
-            return _cmd_kernel(run, bundle, prov)
-        if run.subcommand == "solve":
-            return _cmd_solve(run, bundle, prov)
-        if run.subcommand == "oracle":
-            return _cmd_oracle(run, bundle, prov)
-        if run.subcommand == "verify":
-            return _cmd_verify(run, prov)
-    except (DomainError, PreconditionError, NumericError) as exc:
-        print(f"error[{run.subcommand}]: {exc}", file=sys.stderr)
-        return 1
-    raise AssertionError(f"unhandled subcommand {run.subcommand}")
+    # an error of the run ends in main, as one of the document does
+    if run.subcommand == "verify":
+        return _cmd_verify(run, prov)
+    commands = {"kernel": _cmd_kernel, "solve": _cmd_solve, "oracle": _cmd_oracle}
+    return commands[run.subcommand](run, bundle, prov)
 
 
 def _parse_overrides(pairs) -> dict:

@@ -65,8 +65,16 @@ class OracleConfig:
             raise PreconditionError("need at least 2 order-quadrature nodes")
 
     @property
-    def horizon(self) -> float:
-        return self.dt * self.steps
+    def step_times(self) -> np.ndarray:
+        """The times k*dt, k = 0, ..., steps, that a solve stores."""
+        return self.dt * np.arange(self.steps + 1)
+
+
+def time_index(times: np.ndarray, t: float) -> int | None:
+    """The index of the entry of ``times`` within 1e-9 of t (relative, for
+    |t| > 1), or None if there is none."""
+    idx = int(np.argmin(np.abs(times - t)))
+    return idx if abs(times[idx] - t) <= 1e-9 * max(1.0, abs(t)) else None
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,8 @@ class GridField:
     values: np.ndarray  # shape (len(times), len(grid))
 
     def sample(self, t: float):
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
+        idx = time_index(self.times, t)
+        if idx is None:
             raise DomainError(f"time {t} not on the stored grid")
         return self.grid, self.values[idx]
 
@@ -101,7 +109,7 @@ def order_nodes(w: WeightFunction, n_nodes: int):
 
 
 def effective_history_weights(w: WeightFunction, k: int, dt: float,
-                              n_nodes: int = 32) -> np.ndarray:
+                              n_nodes: int = OracleConfig.alpha_nodes) -> np.ndarray:
     """B_j: the L1 weights averaged over orders against the density."""
     al, wts = order_nodes(w, n_nodes)
     j = np.arange(k, dtype=float)
@@ -172,8 +180,7 @@ def solve_oracle(coeffs: EllipticCoefficients, w: WeightFunction,
                 raise NumericError(f"implicit solve produced non-finite values at step {k}")
             np.subtract(rhs, prev, out=diffs[k])
 
-    times = cfg.dt * np.arange(K + 1)
-    return GridField(times=times, grid=x, values=u)
+    return GridField(times=cfg.step_times, grid=x, values=u)
 
 
 def compare(field_a, field_b, times) -> np.ndarray:

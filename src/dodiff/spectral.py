@@ -20,7 +20,6 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from . import textio
 from .errors import DomainError, NumericError, PreconditionError
 
 ORTHONORMALITY_TOL = 1e-8
@@ -185,17 +184,3 @@ def fractional_norm(basis: SpectralBasis, coeffs: np.ndarray, kappa: float) -> f
         raise DomainError(f"kappa = {kappa} outside [0, 1]")
     coeffs = np.asarray(coeffs, dtype=float)
     return float(np.sqrt(np.sum(basis.eigenvalues ** (2.0 * kappa) * coeffs ** 2)))
-
-
-def coefficients_from_text(text: str, n_modes: int, name: str) -> np.ndarray:
-    """Parse a mode-coefficient list (same array syntax as the config format),
-    zero-padded or rejected against the target mode count; ``name`` is the
-    ``section.key`` the text came from, for error messages."""
-    arr = textio.parse_array(text, name)
-    if len(arr) > n_modes:
-        raise PreconditionError(
-            f"{name}: {len(arr)} coefficients supplied but basis holds "
-            f"{n_modes} modes")
-    out = np.zeros(n_modes)
-    out[: len(arr)] = arr
-    return out

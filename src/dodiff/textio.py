@@ -13,18 +13,37 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
 
 
-def parse_number(text: str, name: str, cast=float):
+@dataclass(frozen=True)
+class Interval:
+    """The numbers from ``lo`` to ``hi``, each end closed (``[ ]``) or open
+    (``( )``).  It prints to 12 digits, so that an end nudged by rounding
+    prints as the end it stands for."""
+
+    lo: float
+    hi: float
+    ends: str = "[]"
+
+    def __contains__(self, value) -> bool:
+        return ((self.lo < value or (value == self.lo and self.ends[0] == "["))
+                and (value < self.hi or (value == self.hi and self.ends[1] == "]")))
+
+    def __str__(self) -> str:
+        return f"{self.ends[0]}{self.lo:.12g}, {self.hi:.12g}{self.ends[1]}"
+
+
+def parse_number(text: str, name: str, cast=float, interval: Interval | None = None):
     """One finite scalar from a config value, by ``cast`` (float or int).
 
-    Every scalar of a config document is read here, so a malformed or
-    non-finite value ends in a ``PreconditionError`` naming ``name`` (the
-    ``section.key`` it came from) and the text.
+    Every scalar of a config document is read here, so a malformed,
+    non-finite or out-of-range (off ``interval``) value ends in a
+    ``PreconditionError`` naming ``name`` (its ``section.key``) and the text.
     """
     text = text.strip()
     try:
@@ -34,19 +53,16 @@ def parse_number(text: str, name: str, cast=float):
         raise PreconditionError(f"{name} = {text!r} is not {kind}") from None
     if not math.isfinite(value):
         raise PreconditionError(f"{name} = {text!r} is not finite")
+    if interval is not None and value not in interval:
+        raise PreconditionError(f"{name} = {text!r} outside {interval}")
     return value
 
 
-def parse_array(text: str, name: str) -> np.ndarray:
-    """Finite numbers separated by whitespace or commas; a bad entry k is
-    reported as ``name[k]``."""
-    return np.array([parse_number(tok, f"{name}[{k}]")
+def parse_array(text: str, name: str, interval: Interval | None = None) -> np.ndarray:
+    """Finite numbers separated by whitespace or commas, each inside
+    ``interval`` if one is given; a bad entry k is reported as ``name[k]``."""
+    return np.array([parse_number(tok, f"{name}[{k}]", float, interval)
                      for k, tok in enumerate(text.replace(",", " ").split())])
-
-
-def parse_array_groups(text: str, name: str) -> list[np.ndarray]:
-    """Parse ``;``-separated arrays, e.g. piecewise polynomial coefficients."""
-    return [parse_array(part, name) for part in text.split(";")]
 
 
 def parse_document(text: str, overrides: dict | None = None) -> dict[str, dict[str, str]]:
@@ -67,21 +83,12 @@ def parse_document(text: str, overrides: dict | None = None) -> dict[str, dict[s
     return sections
 
 
-def format_document(sections: dict[str, dict[str, str]]) -> str:
-    lines = []
-    for name, body in sections.items():
-        lines.append(f"[{name}]")
-        for key, value in body.items():
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)
-
-
 def document_hash(text: str, overrides: dict | None = None) -> str:
     """Stable hash of a config document after ``overrides``, insensitive to
-    comments and spacing."""
+    comments, spacing and the order of sections and keys."""
     sections = parse_document(text, overrides)
-    canon = format_document({k: dict(sorted(v.items())) for k, v in sorted(sections.items())})
+    canon = "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in sorted(body.items()))
+                      for name, body in sorted(sections.items()))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 

@@ -189,54 +189,6 @@ class WeightFunction:
         return out
 
 
-# the keys of a [weight] section, by weight type
-_WEIGHT_KEYS = {
-    "constant": {"value", "alpha0", "delta"},
-    "box": {"alpha0", "h"},
-    "piecewise": {"breakpoints", "coeffs", "alpha0", "delta", "mu_at_alpha0",
-                  "sup_norm", "alpha1"},
-}
-
-
-def weight_from_mapping(body: dict[str, str]) -> WeightFunction:
-    """Build a weight from the key-value document body (section ``[weight]``).
-
-    The keys allowed depend on ``type``; any other key is rejected."""
-    kind = body.get("type", "piecewise").strip().lower()
-    if kind not in _WEIGHT_KEYS:
-        raise PreconditionError(f"unknown weight type {kind!r}")
-    for key in body:
-        if key != "type" and key not in _WEIGHT_KEYS[kind]:
-            raise PreconditionError(
-                f"unknown config key weight.{key} for a {kind} weight")
-
-    def text(key, default=None):
-        if key in body:
-            return body[key]
-        if default is None:
-            raise PreconditionError(f"{kind} weight missing key weight.{key}")
-        return default
-
-    def number(key, default=None):
-        return textio.parse_number(text(key, default), f"weight.{key}")
-
-    if kind == "constant":
-        return make_constant_weight(
-            value=number("value", "1.0"), alpha0=number("alpha0", "0.5"),
-            delta=number("delta") if "delta" in body else None)
-    if kind == "box":
-        return make_box_weight(number("alpha0"), number("h"))
-    return WeightFunction(
-        breakpoints=textio.parse_array(text("breakpoints"), "weight.breakpoints"),
-        coeffs=tuple(textio.parse_array_groups(text("coeffs"), "weight.coeffs")),
-        alpha0=number("alpha0"),
-        delta=number("delta"),
-        mu_at_alpha0=number("mu_at_alpha0"),
-        sup_norm=number("sup_norm"),
-        alpha1=number("alpha1") if "alpha1" in body else None,
-    )
-
-
 def make_constant_weight(value: float = 1.0, alpha0: float = 0.5,
                          delta: float | None = None) -> WeightFunction:
     """Constant density mu = value on [0, 1]."""
@@ -272,6 +224,46 @@ def make_box_weight(alpha0: float, h: float) -> WeightFunction:
         # the density vanishes beyond alpha0, so any cutoff in (alpha0, 1) is valid
         alpha1=0.5 * (alpha0 + 1.0),
     )
+
+
+# each [weight] type: its builder, the keys it needs and the keys it may
+# take.  A key left out takes the builder's own default.
+_WEIGHT_TYPES = {
+    "constant": (make_constant_weight, (), ("value", "alpha0", "delta")),
+    "box": (make_box_weight, ("alpha0", "h"), ()),
+    "piecewise": (WeightFunction, ("breakpoints", "coeffs", "alpha0", "delta",
+                                   "mu_at_alpha0", "sup_norm"), ("alpha1",)),
+}
+# coeffs holds one array per polynomial piece, joined with ";"
+_ARRAY_KEYS = {"breakpoints": textio.parse_array,
+               "coeffs": lambda text, name: [textio.parse_array(part, name)
+                                             for part in text.split(";")]}
+
+
+def weight_from_mapping(body: dict[str, str]) -> WeightFunction:
+    """Build a weight from the key-value document body (section ``[weight]``).
+
+    ``type`` defaults to constant; the other keys allowed depend on it and
+    any other key is rejected.  An error of the builder is prefixed with
+    ``[weight]``."""
+    kind = body.get("type", "constant").strip().lower()
+    if kind not in _WEIGHT_TYPES:
+        raise PreconditionError(f"weight.type = {kind!r} is not one of "
+                                f"{', '.join(_WEIGHT_TYPES)}")
+    builder, required, optional = _WEIGHT_TYPES[kind]
+    for key in body:
+        if key != "type" and key not in required + optional:
+            raise PreconditionError(
+                f"unknown config key weight.{key} for a {kind} weight")
+    for key in required:
+        if key not in body:
+            raise PreconditionError(f"{kind} weight missing key weight.{key}")
+    args = {key: _ARRAY_KEYS.get(key, textio.parse_number)(body[key], f"weight.{key}")
+            for key in required + optional if key in body}
+    try:
+        return builder(**args)
+    except (DomainError, PreconditionError) as exc:
+        raise type(exc)(f"[weight] {exc}") from None
 
 
 def make_tapered_weight(level: float = 1.0, plateau_end: float = 0.75,

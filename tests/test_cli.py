@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from conftest import constant_coefficients, reference_field_csv, reference_write
 from dodiff import cli, make_constant_weight
 from dodiff import oracle as oc
 from dodiff import solver as sv
+from dodiff import weight as wt
 from dodiff.errors import PreconditionError
 from dodiff.spectral import build_exact_dirichlet, build_fd
 
@@ -64,6 +66,13 @@ class TestParseConfig:
         assert bundle.basis.n_modes == 16
         assert bundle.source_coeffs is not None
         assert bundle.source_coeffs(0.3)[0] == 0.2
+
+    def test_mode_coefficients(self):
+        # a modes: list is zero-padded to N, and one longer than N rejected
+        doc = MINIMAL.replace("profile: sine", "modes: 1 0 0.5") + "\n[operator]\nN = 5\n"
+        assert np.array_equal(cli.parse_config(doc).initial_coeffs, [1, 0, 0.5, 0, 0])
+        with pytest.raises(PreconditionError, match="problem.u0 = 'modes: 1 2 3'"):
+            cli.parse_config(doc.replace("N = 5", "N = 2").replace("1 0 0.5", "1 2 3"))
 
     def test_invariant_violation_reported(self):
         bad = MINIMAL.replace("type = constant\nvalue = 1.0",
@@ -141,6 +150,17 @@ BAD_VALUES = {
                    "weight.coeffs", "'nan'"),
     "unknown-key": (MINIMAL + "\n[numerics]\nstesp = 5\n", "numerics.stesp",
                     "unknown config key"),
+    "L-negative": (MINIMAL + "\n[operator]\nL = -1\n", "operator.l", "'-1'"),
+    "c_a-negative": (MINIMAL + "\n[operator]\nc_a = -1\n", "operator.c_a", "'-1'"),
+    "kind-xx": (MINIMAL + "\n[operator]\nkind = xx\n", "operator.kind", "'xx'"),
+    "times-beyond-T": (MINIMAL.replace("times = 0.25 0.5 1.0", "times = 5"),
+                       "problem.times[0]", "'5'"),
+    "kappas-two": (MINIMAL.replace("T = 1.0", "T = 1.0\nkappas = 2"),
+                   "problem.kappas[0]", "'2'"),
+    "u0-cosine": (MINIMAL.replace("profile: sine", "profile: cosine"), "problem.u0",
+                  "'profile: cosine'"),
+    "alpha0-two": (MINIMAL.replace("value = 1.0", "value = 1.0\nalpha0 = 2"),
+                   "[weight] alpha0", "= 2.0"),
 }
 
 
@@ -189,6 +209,14 @@ class TestConfigErrors:
         rc = cli.main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 1 and f"operator.{key}" in capsys.readouterr().err
 
+    def test_weight_type_defaults_to_constant(self):
+        bundle = cli.parse_config(MINIMAL.replace("type = constant\nvalue = 1.0",
+                                                  "value = 2.0"))
+        w = make_constant_weight(2.0)
+        assert bundle.weight.sup_norm == 2.0
+        assert np.array_equal(bundle.weight.breakpoints, w.breakpoints)
+        assert (bundle.weight.alpha0, bundle.weight.delta) == (w.alpha0, w.delta)
+
     def test_override_keys(self):
         with pytest.raises(PreconditionError, match="numerics.stesp"):
             cli.parse_config(MINIMAL, overrides=cli._parse_overrides(["numerics.stesp=5"]))
@@ -216,6 +244,46 @@ class TestConfigErrors:
             WeightFunction(np.array([0.0, 1.0]), (np.array([1.0]),),
                            alpha0=0.5, delta=0.2, mu_at_alpha0=1.0,
                            sup_norm=np.inf)
+
+
+def _scalar_ends():
+    """(key, 0 or 1) for each finite end of each interval of the key table."""
+    return [(name, side) for name, (_, _, interval) in cli._SCHEMA.items()
+            if interval is not None
+            for side in (0, 1) if math.isfinite((interval.lo, interval.hi)[side])]
+
+
+@pytest.mark.parametrize("name, side", _scalar_ends(),
+                         ids=lambda v: v if isinstance(v, str) else "lo hi".split()[v])
+def test_scalar_interval_ends(name, side):
+    # a value just outside either end is rejected, naming the key and the
+    # text; a closed end itself is accepted
+    cast, _, interval = cli._SCHEMA[name]
+    end = (interval.lo, interval.hi)[side]
+    closed = interval.ends[side] in "[]"
+    outward = 1 if side else -1
+    if not closed:
+        outside = end
+    elif cast is int:
+        outside = end + outward
+    else:
+        outside = math.nextafter(end, outward * math.inf)
+    section, key = name.split(".")
+    with pytest.raises(PreconditionError, match="outside") as exc:
+        cli.parse_config(MINIMAL, {section: {key: repr(outside)}})
+    assert f"{name} = {repr(outside)!r}" in str(exc.value)
+    if closed:
+        assert cli._value({section: {key: repr(end)}}, name) == end
+
+
+def test_readme_names_every_key():
+    # the README's config schema lists every key the parser accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = readme.split("### Config schema", 1)[1].split("\n## ", 1)[0].lower()
+    keys = list(cli._SCHEMA) + ["weight.type"]
+    keys += [f"weight.{key}" for _, required, optional in wt._WEIGHT_TYPES.values()
+             for key in required + optional]
+    assert [key for key in keys if f"`{key}`" not in schema] == []
 
 
 def test_shipped_and_benchmark_documents_parse(monkeypatch):
@@ -279,6 +347,46 @@ class TestDispatch:
                                                       "--set", "numerics.dt=0.01"])
         assert rc == 0
         assert (out / "oracle_field.csv").exists()
+
+    @pytest.mark.parametrize("override", ["numerics.dt=3e-3", "numerics.steps=500"])
+    def test_oracle_off_grid_time_fails_before_stepping(self, tmp_path, capsys,
+                                                        monkeypatch, override):
+        # constant.ini asks for t = 0.25, 0.5 and 1 on dt = 1e-3
+        def never(*args):
+            raise AssertionError("solve_oracle called")
+
+        monkeypatch.setattr(oc, "solve_oracle", never)
+        config = (Path(__file__).resolve().parents[1] / "configs" / "constant.ini")
+        rc, _ = self.run(tmp_path, "oracle", config=config.read_text(),
+                         extra=["--set", override])
+        err = capsys.readouterr().err
+        assert rc == 1
+        name = "problem.times[0] = 0.25" if "dt" in override else "problem.times[2] = 1.0"
+        assert name in err and "numerics.dt" in err and "numerics.steps" in err
+
+    def test_oracle_gets_dirichlet_modes_at_its_nodes(self, tmp_path, monkeypatch):
+        # the u0 of a modes: document is the sine series at the oracle's own
+        # nodes, not interpolated from another grid
+        seen = {}
+
+        def record(coeffs, w, u0, source, cfg):
+            x = np.linspace(0.0, coeffs.length, cfg.grid_points)
+            seen["u0"], seen["x"] = u0(x), x
+            return oc.GridField(times=cfg.step_times, grid=x,
+                                values=np.zeros((cfg.steps + 1, x.size)))
+
+        monkeypatch.setattr(oc, "solve_oracle", record)
+        c = np.array([1.0, 0.0, 0.0, 0.5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.25])
+        config = MINIMAL.replace("u0 = profile: sine",
+                                 "u0 = modes: " + " ".join(map(repr, c.tolist())))
+        for m in (101, 201, 401):
+            rc, _ = self.run(tmp_path, "oracle", config=config + f"\n[operator]\nm = {m}\n",
+                             extra=["--set", "numerics.dt=0.25", "--set", "numerics.steps=4"])
+            assert rc == 0 and seen["x"].size == m
+            # phi_n = sqrt(2/L) sin(n pi x / L) on L = pi, as the basis writes it
+            L, n = np.pi, np.arange(1, c.size + 1)
+            series = c @ (np.sqrt(2.0 / L) * np.sin(np.outer(n, seen["x"]) * np.pi / L))
+            assert np.max(np.abs(seen["u0"] - series)[1:-1]) < 1e-15
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "config.ini"

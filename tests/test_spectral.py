@@ -7,7 +7,6 @@ from dodiff.spectral import (
     EllipticCoefficients,
     build_exact_dirichlet,
     build_fd,
-    coefficients_from_text,
     fractional_norm,
     project,
     synthesize,
@@ -144,11 +143,3 @@ class TestFractionalNorm:
     def test_domain(self, basis_pi):
         with pytest.raises(DomainError):
             fractional_norm(basis_pi, np.zeros(basis_pi.n_modes), 1.5)
-
-
-class TestExports:
-    def test_coefficients_from_text(self):
-        c = coefficients_from_text("1 0 0.5", 5, "problem.u0")
-        assert np.allclose(c, [1, 0, 0.5, 0, 0])
-        with pytest.raises(PreconditionError, match="problem.u0"):
-            coefficients_from_text("1 2 3", 2, "problem.u0")
