@@ -52,7 +52,7 @@ _SCHEMA = {
     "problem.times": (str, None, None),
     "problem.kappas": (str, "0.5 1.0", None),
     "numerics.duhamel_nodes": (int, sv.DUHAMEL_NODES, textio.Interval(16, 65536)),
-    "numerics.seed": (int, vf.DEFAULT_SEED, None),
+    "numerics.seed": (int, vf.DEFAULT_SEED, textio.Interval(0, math.inf, "[)")),
     "numerics.theta": (float, kn.KernelConfig.theta,
                        textio.Interval(math.pi / 2, math.pi, "()")),
     "numerics.dt": (float, 1e-3, _POSITIVE),
@@ -376,6 +376,8 @@ def dispatch(run: RunConfig) -> int:
         raise PreconditionError(
             f"--set {overridden[0]} needs --config: overrides apply to a config "
             f"document (use --seed to seed verify)")
+    if run.seed is not None:  # checked as [numerics] seed is
+        textio.parse_number(str(run.seed), "--seed", int, _SCHEMA["numerics.seed"][2])
     config_text = ""
     bundle = None
     if run.subcommand != "verify" or run.config_path:

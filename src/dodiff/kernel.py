@@ -35,7 +35,8 @@ fully independent of the contour quadrature.  D + iN does not depend on the
 mode, so the route is one block: the cut value is evaluated once on a grid
 in log r shared by all modes and times, each mode adds its lambda_n, and
 e^(-rt) enters as a matrix.  The tail-bound products lambda_n int Phi_n/r dr
-likewise share one grid across modes.
+likewise share one graded grid across modes; each is pi G^_n(0) lambda_n = pi
+up to the grid's cut at log r = -1000.
 
 Only the upper ray and upper half-arc are quadratured; the lower half is
 their complex conjugate, which halves the cost and forces a real result.
@@ -360,27 +361,24 @@ def tail_bound_products(modes, basis: SpectralBasis,
                         w: WeightFunction) -> np.ndarray:
     """The products lambda_n * int_0^inf Phi_n(r)/r dr for 1-based modes.
 
-    Boundedness of this product across n is the testable content of the
-    spectral-density tail bound; it requires the upper support cutoff
-    (alpha1 present).  The integrals are taken in u = log r on one grid for
-    all modes, over [-1000, max(log a_n, 0) + 300].  Its panels are built
-    from the top downwards with width max(1, |u|/4): unit width near the
-    threshold radii, geometric growth into the far tails where the integrand
-    is a slow power of u.  Every log a_n is an edge, so each mode's two
-    density regimes meet at a panel boundary.
+    Their boundedness in n is the testable content of the spectral-density
+    tail bound; it requires the upper support cutoff alpha1.  All modes share
+    one grid in u = log r: panels of width max(1/4, |u|/16) from
+    max(log a, 0) + 300 down to -1000, with a the threshold radius of the
+    largest eigenvalue asked for.  The integral is pi G^_n(0) = pi/lambda_n,
+    so each product is pi but for the cut at -1000, which drops about
+    mu(0)/(1000 lambda_n): the integrand decays like mu(0)/(lambda_n u^2).
     """
     if w.alpha1 is None:
         raise PreconditionError(
             "tail-bound check requires a weight with upper support cutoff alpha1")
     modes = np.atleast_1d(np.asarray(modes, dtype=int))
     lams = np.array([_mode_lambda(basis, int(n)) for n in modes])
-    splits = np.log([an_threshold(int(n), basis, w) for n in modes])
-    lo = -1000.0
-    pts = [max(splits.max(), 0.0) + 300.0]
-    while pts[-1] > lo:
-        pts.append(pts[-1] - min(max(1.0, 0.25 * abs(pts[-1])), pts[-1] - lo))
-    pts[-1] = lo
-    u, wu = gauss_on_edges(np.union1d(pts, splits), _PANEL_ORDER)
+    top = int(modes[np.argmax(lams)])
+    pts = [max(math.log(an_threshold(top, basis, w)), 0.0) + 300.0]
+    while pts[-1] > -1000.0:
+        pts.append(max(pts[-1] - max(0.25, abs(pts[-1]) / 16.0), -1000.0))
+    u, wu = gauss_on_edges(pts[::-1], _PANEL_ORDER)
     return lams * (_phi_on_cut(lams, u, w) @ wu)
 
 

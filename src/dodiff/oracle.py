@@ -39,7 +39,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DomainError, NumericError, PreconditionError
 from .spectral import EllipticCoefficients
@@ -125,6 +124,7 @@ def solve_oracle(coeffs: EllipticCoefficients, w: WeightFunction,
                  source: Callable[[float, np.ndarray], np.ndarray] | None,
                  cfg: OracleConfig) -> GridField:
     """March the implicit order-averaged L1 scheme over the full horizon."""
+    from scipy.linalg.lapack import dgttrf, dgttrs  # imported here: slow to import
     M, K = cfg.grid_points, cfg.steps
     x = np.linspace(0.0, coeffs.length, M)
     h = x[1] - x[0]

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, NumericError, PreconditionError
 
@@ -142,6 +141,7 @@ def assemble_tridiagonal(coeffs: EllipticCoefficients, M: int):
 
 def build_fd(coeffs: EllipticCoefficients, M: int, N: int) -> SpectralBasis:
     """Lowest-N eigenpairs of the finite-difference operator on M grid points."""
+    from scipy.linalg import eigh_tridiagonal  # imported here: slow to import
     if M < N + 2:
         raise DomainError(f"M = {M} too small for N = {N} modes")
     diag, off, x = assemble_tridiagonal(coeffs, M)

@@ -320,15 +320,17 @@ def eval_sw(w: WeightFunction, s: complex) -> complex:
     return complex(w.power_moments(_checked_logs(s), offset=0.0)[0])
 
 
-def zeta_env(r: float) -> float:
-    """zeta(r) = (r-1)/log r, continued by 1 at r = 1; increasing on (0, inf)."""
-    if r <= 0.0:
-        raise DomainError(f"zeta requires r > 0, got {r}")
+def zeta_env(r):
+    """zeta(r) = (r-1)/log r, continued by 1 at r = 1, for a scalar or array r."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise DomainError(f"zeta requires r > 0, got {np.min(r)}")
     x = r - 1.0
-    if abs(x) < 1e-6:
-        # series of (r-1)/log(r) about r = 1 avoids the 0/0
-        return 1.0 + x / 2.0 - x * x / 12.0
-    return x / np.log(r)
+    # the series about r = 1 avoids the 0/0; each branch sees a stand-in
+    near = np.abs(x) < 1e-6
+    xs = np.where(near, x, 0.0)
+    return np.where(near, 1.0 + xs / 2.0 - xs * xs / 12.0,
+                    x / np.log(np.where(near, 2.0, r)))
 
 
 def monotone_root(g, target: float, lo: float, hi: float, xtol: float):
@@ -369,7 +371,9 @@ def zeta_inv(y: float) -> float:
     """
     if y <= 0.0:
         raise DomainError(f"zeta_inv requires y > 0, got {y}")
-    u = monotone_root(lambda u: zeta_env(math.exp(u)), y, -690.0, 690.0, 1e-13)
+    # zeta(e^u) = expm1(u)/u, solved in u so that one step is scalar math
+    u = monotone_root(lambda u: math.expm1(u) / u if u else 1.0, y,
+                      -690.0, 690.0, 1e-13)
     if u is None:
         raise NumericError(f"zeta_inv target {y} outside the root bracket")
     return float(np.exp(u))
@@ -385,12 +389,12 @@ def symbol_bound_constants(w: WeightFunction) -> dict[str, float]:
     }
 
 
-def check_symbol_bounds(w: WeightFunction, samples) -> dict[str, dict]:
-    """Evaluate the four symbol inequalities on (s, lambda) samples.
+def check_symbol_bounds(w: WeightFunction, s, lam, nu=0.5) -> dict[str, dict]:
+    """Evaluate the four symbol inequalities on samples (s, lam, nu).
 
-    ``samples`` is an iterable of (s, lam) with s off the cut and lam > 0;
-    an optional third entry supplies the interpolation exponent nu in [0, 1]
-    (default 1/2).  Checked with their explicit constants:
+    ``s`` (off the cut), ``lam`` (> 0) and the interpolation exponent ``nu``
+    in [0, 1] are arrays broadcast against each other, one sample per entry.
+    Checked with their explicit constants:
 
       resolvent_floor:      |s w(s) + lam| >= C_beta * lam,
                             C_beta = 1 for |arg s| <= pi/2, sin(beta)/2 above;
@@ -400,14 +404,13 @@ def check_symbol_bounds(w: WeightFunction, samples) -> dict[str, dict]:
       symbol_envelope:      |s w(s)| <= sup|mu| * zeta(|s|).
 
     All samples go through one symbol evaluation.  Returns, per inequality,
-    the worst (signed) slack = satisfied-side minus required-side, the first
-    sample achieving it, and the violation count; any negative slack is a
-    violation.
+    the worst (signed) slack = satisfied-side minus required-side, the index
+    of the first sample achieving it, and the violation count; any negative
+    slack is a violation.
     """
-    samples = list(samples)
-    s = np.array([complex(x[0]) for x in samples])
-    lam = np.array([float(x[1]) for x in samples])
-    nu = np.array([float(x[2]) if len(x) > 2 else 0.5 for x in samples])
+    s, lam, nu = (a.ravel() for a in np.broadcast_arrays(
+        np.asarray(s, dtype=complex), np.asarray(lam, dtype=float),
+        np.asarray(nu, dtype=float)))
     if np.any(lam <= 0.0):
         raise DomainError(f"lambda must be positive, got {lam[lam <= 0.0][0]}")
     sw = w.power_moments(_checked_logs(s))
@@ -417,8 +420,7 @@ def check_symbol_bounds(w: WeightFunction, samples) -> dict[str, dict]:
 
     consts = symbol_bound_constants(w)
     c_pow = np.where(left, consts["power_floor_left"], consts["power_floor_right"])
-    envelope = w.sup_norm * np.array([zeta_env(m) for m in mod])
-    rows = np.arange(len(samples))
+    rows = np.arange(s.size)
     checks = {
         "resolvent_floor":
             (rows, lhs - np.where(left, np.sin(beta) / 2.0, 1.0) * lam),
@@ -428,14 +430,14 @@ def check_symbol_bounds(w: WeightFunction, samples) -> dict[str, dict]:
         "power_floor":
             (rows, lhs - c_pow * np.minimum(mod ** (w.alpha0 - w.delta),
                                             mod ** w.alpha0)),
-        "symbol_envelope": (rows, envelope - np.abs(sw)),
+        "symbol_envelope": (rows, w.sup_norm * zeta_env(mod) - np.abs(sw)),
     }
     report = {}
     for name, (idx, slack) in checks.items():
         i = int(np.argmin(slack)) if idx.size else None
         report[name] = {
             "min_slack": np.inf if i is None else float(slack[i]),
-            "argmin": None if i is None else samples[idx[i]],
+            "argmin": None if i is None else int(idx[i]),
             "violations": int(np.count_nonzero(slack < 0.0)),
             "count": int(idx.size),
         }

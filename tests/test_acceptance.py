@@ -155,9 +155,7 @@ def test_07_symbol_bound_sweep(mu_const):
     sign = rng.choice([-1.0, 1.0], n)
     lam = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
     nu = rng.uniform(0.0, 1.0, n)
-    samples = [(rr * np.exp(1j * ss * bb), ll, vv)
-               for rr, bb, ss, ll, vv in zip(r, beta, sign, lam, nu)]
-    result = check_symbol_bounds(mu_const, samples)
+    result = check_symbol_bounds(mu_const, r * np.exp(1j * sign * beta), lam, nu)
     violations = {k: v["violations"] for k, v in result.items()}
     slacks = {k: v["min_slack"] for k, v in result.items()}
     ok = all(v == 0 for v in violations.values())

@@ -235,6 +235,25 @@ class TestConfigErrors:
         assert err.startswith("error[verify]: ") and "bogus.key" in err
         assert not list(out.glob("*.csv")) and not (out / "provenance.txt").exists()
 
+    @pytest.mark.parametrize("path", ["option", "document"])
+    def test_negative_seed_named(self, path, tmp_path, capsys):
+        # the random generators take no negative seed: --seed and
+        # [numerics] seed share one interval, checked before --out exists
+        out = tmp_path / "out"
+        if path == "option":
+            args = ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "config.ini"
+            cfg.write_text(MINIMAL + "\n[numerics]\nseed = -1\n")
+            args = ["--config", str(cfg)]
+        rc = cli.main(["verify", "--suite", "h2", "--out", str(out), *args])
+        err = capsys.readouterr().err
+        name = "--seed" if path == "option" else "numerics.seed"
+        assert rc == 1
+        assert err.startswith("error[verify]: ")
+        assert f"{name} = '-1' outside [0, inf)" in err
+        assert not out.exists()
+
     def test_non_finite_weight_field(self):
         from dodiff.weight import WeightFunction
         with pytest.raises(PreconditionError, match="finite"):
@@ -526,27 +545,32 @@ class TestCsvWriter:
                          "c,-0.0,7,False,note, quoted"]
 
 
-def test_import_leaves_out_scipy_optimize():
-    # the package finds its roots itself; scipy.optimize would be most of
-    # the import time of the CLI
+def _loaded_after_import(left_out):
+    """The modules under the dotted prefixes `left_out` that importing
+    dodiff.cli and dodiff loads, and the public names that do not resolve."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys, dodiff.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] == ['scipy', 'optimize']))")
+    code = ("import json, sys, dodiff.cli, dodiff; print(json.dumps(["
+            f"sorted(m for m in sys.modules if m in {left_out!r}"
+            f" or m.startswith(tuple(p + '.' for p in {left_out!r}))),"
+            "[n for n in dodiff.__all__ if not hasattr(dodiff, n)]]))")
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
-    assert done.stdout.strip() == "[]"
+    return json.loads(done.stdout)
+
+
+def test_import_leaves_out_scipy_optimize():
+    # the package finds its roots itself; scipy.optimize would be most of
+    # the import time of the CLI
+    assert _loaded_after_import(("scipy.optimize",))[0] == []
 
 
 def test_import_leaves_out_mpmath_and_scipy_special():
     # mpmath serves only the tests' Mittag-Leffler reference; the oracle
     # takes gamma from math.  Every public name must still resolve.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import json, sys, dodiff.cli, dodiff; print(json.dumps(["
-            "sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'"
-            " or m.split('.')[:2] == ['scipy', 'special']),"
-            "[n for n in dodiff.__all__ if not hasattr(dodiff, n)]]))")
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True)
-    assert json.loads(done.stdout) == [[], []]
+    assert _loaded_after_import(("mpmath", "scipy.special")) == [[], []]
+
+
+def test_import_leaves_out_scipy_linalg():
+    # scipy.linalg is imported only where build_fd and the oracle run
+    assert _loaded_after_import(("scipy.linalg",))[0] == []

@@ -11,6 +11,7 @@ from conftest import (
     mittag_leffler,
     mode_kernels,
 )
+from dodiff import kernel as kn
 from dodiff import make_box_weight
 from dodiff.errors import DomainError, NumericError, PreconditionError
 from dodiff.kernel import (
@@ -359,32 +360,64 @@ class TestTailBound:
 
     @staticmethod
     def refined_products(modes, basis, w):
-        """lambda_n int Phi_n du on one grid four times finer than the
-        family's, with no threshold edges."""
+        """lambda_n int Phi_n du on a grid four times finer than the
+        family's: panel width max(1/16, |u|/64) over the same window."""
         lams = basis.eigenvalues[np.asarray(modes) - 1]
         pts = [math.log(an_threshold(max(modes), basis, w)) + 300.0]
         while pts[-1] > -1000.0:
-            pts.append(max(pts[-1] - max(0.25, abs(pts[-1]) / 16.0), -1000.0))
+            pts.append(max(pts[-1] - max(1.0 / 16.0, abs(pts[-1]) / 64.0), -1000.0))
         u, wu = gauss_panels(pts[::-1])
         cut = w.power_moments(u + 1j * np.pi)
         phi = cut.imag / ((cut.real + lams[:, None]) ** 2 + cut.imag ** 2)
         return lams * (phi @ wu)
 
-    def test_family_against_refined_grid(self, basis64, tapered):
+    @pytest.fixture(scope="class")
+    def families(self, basis64):
         wide = build_exact_dirichlet(np.pi, 1024, grid_points=1026)
-        for basis, modes in ((basis64, list(range(1, 65))),
-                             (wide, [1, 8, 64, 512, 1024])):
-            got = tail_bound_products(modes, basis, tapered)
-            ref = self.refined_products(modes, basis, tapered)
-            assert np.all(np.abs(got - ref) <= 1e-8 * ref)
+        return ((basis64, list(range(1, 65))), (wide, [1, 8, 64, 512, 1024]))
+
+    def test_family_against_refined_grid(self, families, tapered, box_half):
+        for w in (tapered, box_half):
+            for basis, modes in families:
+                got = tail_bound_products(modes, basis, w)
+                ref = self.refined_products(modes, basis, w)
+                assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+    def test_exact_value_without_mass_at_zero(self, families, box_half):
+        # int_0^inf G_n = 1/lambda_n, so the product is pi when mu vanishes
+        # near alpha = 0 and the far tail carries nothing
+        for basis, modes in families:
+            got = tail_bound_products(modes, basis, box_half)
+            assert np.all(np.abs(got / np.pi - 1.0) <= 1e-13)
+
+    def test_cut_is_the_only_error(self, families, tapered):
+        # with mu(0) > 0 the integrand in u = log r decays like
+        # mu(0)/(lambda_n u^2), so the cut at u = -1000 drops at most
+        # mu(0)/(1000 lambda_n) of pi
+        mu0 = float(tapered.coeffs[0][0])
+        for basis, modes in families:
+            lams = basis.eigenvalues[np.asarray(modes) - 1]
+            short = 1.0 - tail_bound_products(modes, basis, tapered) / np.pi
+            assert np.all(short >= 0.0)
+            assert np.all(short <= mu0 / (1000.0 * lams) + 1e-13)
+
+    def test_one_threshold_per_call(self, monkeypatch, basis64, tapered):
+        calls = []
+        real = kn.an_threshold
+        monkeypatch.setattr(kn, "an_threshold",
+                            lambda n, basis, w: calls.append(n) or real(n, basis, w))
+        for modes in ([5], [64, 1, 8], range(1, 65)):
+            calls.clear()
+            tail_bound_products(modes, basis64, tapered)
+            assert calls == [max(modes)]
 
     def test_product_independent_of_grid_mates(self, basis64, tapered):
         # a mode's product must not depend on which other modes' thresholds
-        # share its grid
+        # set the top of its grid
         family = tail_bound_products(range(1, 65), basis64, tapered)
         for n in (1, 8, 64):
             assert check_g0c(n, basis64, tapered) == pytest.approx(
-                family[n - 1], rel=1e-8)
+                family[n - 1], rel=1e-14)
 
 
 class TestKernelTable:

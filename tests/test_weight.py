@@ -97,7 +97,7 @@ class TestSymbol:
         with pytest.raises(DomainError, match="not finite"):
             eval_w(const_weight, s)
         with pytest.raises(DomainError, match="not finite"):
-            check_symbol_bounds(const_weight, [(s, 1.0)])
+            check_symbol_bounds(const_weight, s, 1.0)
 
     def test_near_cut_flagged(self, const_weight):
         with pytest.warns(wt.NearCutWarning):
@@ -220,6 +220,16 @@ class TestEnvelopes:
     def test_domain(self):
         with pytest.raises(DomainError):
             zeta_env(0.0)
+        with pytest.raises(DomainError):
+            zeta_env([2.0, -1.0])
+
+    def test_array_matches_scalars(self):
+        # both branches in one array, out to where the series would overflow
+        r = np.array([1e-300, 0.5, 1.0 - 3e-7, 1.0, 1.0 + 1e-7, np.e, 1e6, 1e300])
+        got = zeta_env(r)
+        assert got.shape == r.shape
+        assert np.array_equal(got, [zeta_env(x) for x in r])
+        assert got[3] == 1.0 and got[-1] == pytest.approx(1e300 / np.log(1e300))
 
     @given(st.floats(min_value=-13.0, max_value=13.0),
            st.floats(min_value=1e-4, max_value=13.0))
@@ -253,14 +263,14 @@ class TestEnvelopes:
 
 class TestSymbolBounds:
     def test_real_positive_spot(self, const_weight):
-        rep = check_symbol_bounds(const_weight, [(2.0, 1.0)])
+        rep = check_symbol_bounds(const_weight, 2.0, 1.0)
         assert rep["resolvent_floor"]["min_slack"] == pytest.approx(1.4426950408, rel=1e-9)
         assert rep["resolvent_floor"]["violations"] == 0
 
     def test_upper_ray_constant(self, const_weight):
         s = np.exp(1j * 3 * np.pi / 4)
         lam = 1.0
-        rep = check_symbol_bounds(const_weight, [(s, lam)])
+        rep = check_symbol_bounds(const_weight, s, lam)
         c_beta = np.sin(3 * np.pi / 4) / 2.0
         lhs = abs(eval_sw(const_weight, s) + lam)
         assert lhs >= c_beta * lam
@@ -274,32 +284,31 @@ class TestSymbolBounds:
         sign = rng.choice([-1.0, 1.0], n)
         lam = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
         nu = rng.uniform(0.0, 1.0, n)
-        return [(rr * np.exp(1j * ss * bb), ll, vv)
-                for rr, bb, ss, ll, vv in zip(r, beta, sign, lam, nu)]
+        return r * np.exp(1j * sign * beta), lam, nu
 
     def test_randomized_sweep(self, const_weight):
-        rep = check_symbol_bounds(const_weight, self.random_samples(10_000))
+        rep = check_symbol_bounds(const_weight, *self.random_samples(10_000))
         for name, entry in rep.items():
             assert entry["violations"] == 0, (name, entry)
             assert entry["min_slack"] >= 0.0
 
     def test_randomized_sweep_box(self, box_half):
-        rep = check_symbol_bounds(box_half, self.random_samples(2_000, seed=11))
+        rep = check_symbol_bounds(box_half, *self.random_samples(2_000, seed=11))
         for name, entry in rep.items():
             assert entry["violations"] == 0, (name, entry)
 
     def test_bad_lambda(self, const_weight):
         with pytest.raises(DomainError):
-            check_symbol_bounds(const_weight, [(2.0, -1.0)])
+            check_symbol_bounds(const_weight, 2.0, -1.0)
 
     def test_on_cut_sample(self, const_weight):
         with pytest.raises(DomainError, match="branch cut"):
-            check_symbol_bounds(const_weight, [(2.0, 1.0), (-3.0, 1.0)])
+            check_symbol_bounds(const_weight, [2.0, -3.0], 1.0)
 
     def test_near_cut_warned_once(self, const_weight):
-        samples = [(np.exp(1j * b), 1.0) for b in (3.11, 3.12, -3.13)]
+        s = np.exp(1j * np.array([3.11, 3.12, -3.13]))
         with pytest.warns(wt.NearCutWarning) as record:
-            check_symbol_bounds(const_weight, samples)
+            check_symbol_bounds(const_weight, s, 1.0)
         assert len(record) == 1
 
     @staticmethod
@@ -308,7 +317,7 @@ class TestSymbolBounds:
         consts = wt.symbol_bound_constants(w)
         out = {name: [] for name in ("resolvent_floor", "interpolation_bound",
                                      "power_floor", "symbol_envelope")}
-        for k, (s, lam, nu) in enumerate(samples):
+        for k, (s, lam, nu) in enumerate(zip(*samples)):
             sw = eval_sw(w, s)
             beta, mod = abs(np.angle(s)), abs(s)
             lhs = abs(sw + lam)
@@ -327,14 +336,14 @@ class TestSymbolBounds:
     def test_sweep_matches_per_sample_loop(self, const_weight, box_half):
         samples = self.random_samples(200, seed=7)
         for w in (const_weight, box_half):
-            rep = check_symbol_bounds(w, samples)
+            rep = check_symbol_bounds(w, *samples)
             for name, rows in self.per_sample_reference(w, samples).items():
                 slacks = np.array([v for v, _ in rows])
                 k = int(np.argmin(slacks))
                 entry = rep[name]
                 assert entry["count"] == len(rows)
                 assert entry["violations"] == int(np.sum(slacks < 0.0))
-                assert entry["argmin"] is samples[rows[k][1]]
+                assert entry["argmin"] == rows[k][1]
                 assert entry["min_slack"] == pytest.approx(slacks[k], rel=1e-12)
 
 
