@@ -35,8 +35,8 @@ fully independent of the contour quadrature.  D + iN does not depend on the
 mode, so the route is one block: the cut value is evaluated once on a grid
 in log r shared by all modes and times, each mode adds its lambda_n, and
 e^(-rt) enters as a matrix.  The tail-bound products lambda_n int Phi_n/r dr
-likewise share one graded grid across modes; each is pi G^_n(0) lambda_n = pi
-up to the grid's cut at log r = -1000.
+likewise share one grid across modes, built by the same rule (``_log_grid``);
+each is pi G^_n(0) lambda_n = pi up to the grid's cut at log r = -1000.
 
 Only the upper ray and upper half-arc are quadratured; the lower half is
 their complex conjugate, which halves the cost and forces a real result.
@@ -73,11 +73,8 @@ _ARC_COUNT = 24
 _TAIL_DECADES = 16.0
 # times per exponential block, bounding the working set of a kernel block
 _CHUNK = 64
-# spectral route: window in r t and tail floor, panel width in log r
-_SPECTRAL_LOWER_RT = 1e-8
+# spectral route: the top of its log r grid sits where r t_min reaches this
 _SPECTRAL_UPPER_RT = 40.0
-_SPECTRAL_TAIL_FLOOR = 1e-12
-_SPECTRAL_PANEL_WIDTH = 0.75
 
 
 @lru_cache(maxsize=32)
@@ -113,6 +110,17 @@ class KernelConfig:
 
 
 _DEFAULT_CONFIG = KernelConfig()
+
+
+def _positive(values, arg: str, symbol: str) -> np.ndarray:
+    """``values`` as a non-empty 1-d float array of positive entries."""
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if values.size == 0:
+        raise PreconditionError(f"{arg} is empty")
+    bad = values[~(values > 0.0)]
+    if bad.size:
+        raise DomainError(f"{arg}: {symbol} = {bad[0]} must be positive")
+    return values
 
 
 @dataclass(frozen=True)
@@ -178,9 +186,7 @@ def shared_contour(times, lambda1: float, w: WeightFunction,
     are equally valid and avoid the long geometric ray grading that the
     worst-case proof radius would force for weights with large sup-norm.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times <= 0.0):
-        raise DomainError("all times must be positive")
+    times = _positive(times, "times", "t")
     theta = (cfg or _DEFAULT_CONFIG).theta
     eta = 1.0 / (2.0 * w.sup_norm)
     y = eta * lambda1
@@ -230,11 +236,9 @@ def _contour_block(times, lambdas, w: WeightFunction, cfg: KernelConfig | None,
     for (K_1, K_2).  The arc encloses s = 0, so the poles of s^-k need no
     separate contour.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    if np.any(lambdas <= 0.0):
-        raise DomainError("eigenvalues must be positive")
-    if spec is None and times.size and times.max() > 1e3 * times.min():
+    times = _positive(times, "times", "t")
+    lambdas = _positive(lambdas, "lambdas", "lambda")
+    if spec is None and times.max() > 1e3 * times.min():
         # wide spans would force very long ray gradings; band the grid so
         # each shared contour covers at most three decades
         order = np.argsort(times)
@@ -292,37 +296,34 @@ def _phi_on_cut(lambdas, logr, w: WeightFunction) -> np.ndarray:
     return cut.imag / ((cut.real + lam) ** 2 + cut.imag ** 2)
 
 
+def _log_grid(top: float, low: float = 0.0, high: float = 16.0):
+    """Gauss-Legendre nodes and weights in u = log r from ``top`` down to
+    -1000, the only real-axis grid.  Panel width max(3/8, (low - u)/16,
+    (u - high)/16) at the upper edge u is 3/8 on the flat band
+    [low - 6, high + 6], which holds the peaks of Phi_n for lambda_n up to
+    about 1.6e8."""
+    pts = [top]
+    while pts[-1] > -1000.0:
+        u = pts[-1]
+        pts.append(max(u - max(0.375, (low - u) / 16.0, (u - high) / 16.0), -1000.0))
+    return gauss_on_edges(pts[::-1], _PANEL_ORDER)
+
+
 def eval_spectral_block(times, lambdas, w: WeightFunction) -> np.ndarray:
     """G of shape (n_times, n_modes) through the real-axis density,
     G_n(t) = (1/pi) int Phi_n(r) e^(-rt) dr.
 
-    One grid in u = log r, Gauss-Legendre panels of equal width, serves every
-    mode and time.  The window is chosen so both tails sit below the kernel
-    scale: the upper end where r t_min reaches 40; the lower end starts where
-    r t_max is 1e-8 and steps down by decades until the crude tail estimate
-    r Phi_n(r) is under 1e-12/lambda_n^2 (scaled by sup|mu|) for every mode.
-    The route has no contour, so it takes no kernel setting.
+    One ``_log_grid`` serves every mode and time, with its top where r t_min
+    reaches 40, low = min(0, -log t_max) and high = max(16, -log t_min): the
+    bump of r e^(-rt) at u = -log t then lies in the flat band for every
+    time.  Below the bottom at -1000, e^u underflows, so nothing is left to
+    certify there.  The route has no contour, so it takes no kernel setting.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    if np.any(times <= 0.0):
-        raise DomainError(f"time t = {times.min()} must be positive")
-    if np.any(lambdas <= 0.0):
-        raise DomainError("eigenvalues must be positive")
-
-    r_min = _SPECTRAL_LOWER_RT / times.max()
-    floor = _SPECTRAL_TAIL_FLOOR * max(1.0, w.sup_norm) / lambdas ** 2
-    while np.any(r_min * _phi_on_cut(lambdas, [math.log(r_min)], w)[:, 0] > floor):
-        r_min /= 10.0
-        if r_min < 1e-130:
-            raise NumericError("spectral lower truncation certificate unmet")
-    u_min = math.log(r_min)
-    u_max = math.log(_SPECTRAL_UPPER_RT / times.min())
-    if u_max <= u_min:
-        raise NumericError("empty spectral quadrature window")
-
-    n_pan = max(1, math.ceil((u_max - u_min) / _SPECTRAL_PANEL_WIDTH))
-    u, wu = gauss_on_edges(np.linspace(u_min, u_max, n_pan + 1), _PANEL_ORDER)
+    times = _positive(times, "times", "t")
+    lambdas = _positive(lambdas, "lambdas", "lambda")
+    low, high = -math.log(times.max()), -math.log(times.min())
+    u, wu = _log_grid(math.log(_SPECTRAL_UPPER_RT) + high, min(0.0, low),
+                      max(16.0, high))
     phi = _phi_on_cut(lambdas, u, w)
     decay = np.exp(u - np.multiply.outer(times, np.exp(u))) * wu
     return decay @ phi.T / np.pi
@@ -363,22 +364,18 @@ def tail_bound_products(modes, basis: SpectralBasis,
 
     Their boundedness in n is the testable content of the spectral-density
     tail bound; it requires the upper support cutoff alpha1.  All modes share
-    one grid in u = log r: panels of width max(1/4, |u|/16) from
-    max(log a, 0) + 300 down to -1000, with a the threshold radius of the
-    largest eigenvalue asked for.  The integral is pi G^_n(0) = pi/lambda_n,
-    so each product is pi but for the cut at -1000, which drops about
-    mu(0)/(1000 lambda_n): the integrand decays like mu(0)/(lambda_n u^2).
+    one ``_log_grid`` from max(log a, 0) + 300, with a the threshold radius of
+    the largest eigenvalue asked for.  The integral is pi G^_n(0) = pi/lambda_n,
+    so each product is pi but for the cut at -1000, a known shortfall of at
+    most mu(0)/(1000 lambda_n): the integrand decays like mu(0)/(lambda_n u^2).
     """
     if w.alpha1 is None:
         raise PreconditionError(
             "tail-bound check requires a weight with upper support cutoff alpha1")
-    modes = np.atleast_1d(np.asarray(modes, dtype=int))
+    modes = _positive(modes, "modes", "n").astype(int)
     lams = np.array([_mode_lambda(basis, int(n)) for n in modes])
     top = int(modes[np.argmax(lams)])
-    pts = [max(math.log(an_threshold(top, basis, w)), 0.0) + 300.0]
-    while pts[-1] > -1000.0:
-        pts.append(max(pts[-1] - max(0.25, abs(pts[-1]) / 16.0), -1000.0))
-    u, wu = gauss_on_edges(pts[::-1], _PANEL_ORDER)
+    u, wu = _log_grid(max(math.log(an_threshold(top, basis, w)), 0.0) + 300.0)
     return lams * (_phi_on_cut(lams, u, w) @ wu)
 
 
@@ -412,13 +409,12 @@ class KernelTable:
 
 def build_kernel_table(basis: SpectralBasis, w: WeightFunction, times,
                        modes=None, cfg: KernelConfig | None = None) -> KernelTable:
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    """The contour table of ``modes`` (default: all) at ``times``: the
+    transpose of one ``eval_kernel_block``, the solver's banded contour."""
+    times = _positive(times, "times", "t")
     if modes is None:
         modes = np.arange(1, basis.n_modes + 1)
-    modes = np.atleast_1d(np.asarray(modes, dtype=int))
+    modes = _positive(modes, "modes", "n").astype(int)
     lams = np.array([_mode_lambda(basis, int(m)) for m in modes])
-    E = np.empty((len(modes), len(times)))
-    G = np.empty_like(E)
-    for j, t in enumerate(times):
-        E[:, j], G[:, j] = eval_kernel_row(t, lams, w, cfg=cfg)
-    return KernelTable(modes=modes, times=times, E=E, G=G)
+    E, G = eval_kernel_block(times, lams, w, cfg=cfg)
+    return KernelTable(modes=modes, times=times, E=E.T, G=G.T)

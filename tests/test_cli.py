@@ -1,7 +1,9 @@
+import ast
 import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -342,6 +344,16 @@ class TestDispatch:
         assert all(float(ln.split(",")[-1]) <= 1e-6 for ln in data)
         assert (out / "provenance.txt").exists()
 
+    @pytest.mark.parametrize("name", ["box", "constant", "tapered_fd"])
+    def test_shipped_kernel_routes_agree(self, tmp_path, name):
+        # contour and real axis agree per entry on every shipped config
+        config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini"
+        rc, out = self.run(tmp_path, "kernel", config=config.read_text())
+        assert rc == 0
+        lines = [ln for ln in (out / "kernels.csv").read_text().splitlines()
+                 if not ln.startswith("#")][1:]
+        assert lines and max(float(ln.split(",")[-1]) for ln in lines) <= 1e-12
+
     def test_solve_outputs(self, tmp_path):
         rc, out = self.run(tmp_path, "solve")
         assert rc == 0
@@ -574,3 +586,24 @@ def test_import_leaves_out_mpmath_and_scipy_special():
 def test_import_leaves_out_scipy_linalg():
     # scipy.linalg is imported only where build_fd and the oracle run
     assert _loaded_after_import(("scipy.linalg",))[0] == []
+
+
+def test_every_module_constant_is_read():
+    # a module-level constant that no module of the package reads is left
+    # over from code that has gone
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py"))]
+    defined = {target.id for tree in trees for node in tree.body
+               if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in getattr(node, "targets", [getattr(node, "target", None)])
+               if isinstance(target, ast.Name)
+               and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)}
+    read = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    assert sorted(defined - read) == []

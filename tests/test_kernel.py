@@ -35,13 +35,25 @@ from dodiff.spectral import build_exact_dirichlet
 from dodiff.weight import zeta_env, zeta_inv
 
 
-def gauss_panels(edges, order=16):
-    """Gauss-Legendre nodes and weights on the panels between edges."""
+def quarter_log_grid(top, low=0.0, high=16.0, order=16):
+    """The package's real-axis grid rule at a quarter of its panel width:
+    Gauss-Legendre panels in u = log r from top down to -1000, of width
+    max(3/32, (low - u)/64, (u - high)/64) at their upper edge u."""
+    pts = [top]
+    while pts[-1] > -1000.0:
+        u = pts[-1]
+        pts.append(max(u - max(3 / 32, (low - u) / 64, (u - high) / 64), -1000.0))
     x, wq = np.polynomial.legendre.leggauss(order)
-    edges = np.asarray(edges, dtype=float)
+    edges = np.asarray(pts[::-1])
     a, b = edges[:-1, None], edges[1:, None]
     return ((0.5 * (b - a) * x + 0.5 * (a + b)).ravel(),
             (0.5 * (b - a) * wq).ravel())
+
+
+def phi_rows(lams, u, w):
+    """Phi_n at log r = u for every eigenvalue (rows), from the cut value."""
+    cut = w.power_moments(np.asarray(u) + 1j * np.pi)
+    return cut.imag / ((cut.real + np.asarray(lams)[:, None]) ** 2 + cut.imag ** 2)
 
 
 def ml_reference(alpha, beta, z, terms=200, dps=80):
@@ -213,30 +225,28 @@ class TestSpectralDensity:
     @staticmethod
     def refined_block(times, lams, w):
         """G per (time, mode) on panels a quarter as wide as the block's, the
-        lower cut two decades below the block's own."""
-        def phi(u):
-            cut = w.power_moments(np.asarray(u) + 1j * np.pi)
-            return cut.imag / ((cut.real + lams[:, None]) ** 2 + cut.imag ** 2)
-
-        floor = 1e-12 * max(1.0, w.sup_norm) / lams ** 2
-        r_min = 1e-8 / max(times)
-        while np.any(r_min * phi([math.log(r_min)])[:, 0] > floor):
-            r_min /= 10.0
-        lo, hi = math.log(r_min / 100.0), math.log(40.0 / min(times))
-        u, wu = gauss_panels(np.linspace(lo, hi, math.ceil((hi - lo) / 0.1875) + 1))
-        dens = phi(u)
+        top where r t_min reaches 80 rather than 40."""
+        u, wu = quarter_log_grid(math.log(80.0 / min(times)),
+                                 min(0.0, -math.log(max(times))),
+                                 max(16.0, -math.log(min(times))))
+        dens = phi_rows(lams, u, w)
         return np.array([[np.sum(dens[n] * np.exp(u - np.exp(u) * t) * wu) / np.pi
                           for n in range(len(lams))] for t in times])
 
     def test_block_against_refined_grid(self, const_weight, box_half, tapered):
-        times = [1e-6, 1e-2, 1.0, 1e4]
-        for n_modes in (16, 256):
-            lams = build_exact_dirichlet(np.pi, n_modes).eigenvalues
-            for w in (const_weight, box_half, tapered):
-                got = eval_spectral_block(times, lams, w)
-                ref = self.refined_block(times, lams, w)
-                assert got.shape == (len(times), n_modes)
-                assert np.all(np.abs(got - ref) <= 1e-8 * ref)
+        # per mode and relative; t = 1e30 and 1e-30 put the bump of r e^(-rt)
+        # far outside [-6, 22], where only the grid's time-dependent band
+        # resolves it
+        families = [build_exact_dirichlet(np.pi, 16).eigenvalues,
+                    build_exact_dirichlet(np.pi, 256).eigenvalues,
+                    np.array([1.0, 8.0, 64.0, 512.0, 4096.0]) ** 2]
+        for times in ([1e-6, 1e-2, 1.0, 1e4], [1e30], [1e-30]):
+            for lams in families:
+                for w in (const_weight, box_half, tapered):
+                    got = eval_spectral_block(times, lams, w)
+                    ref = self.refined_block(times, lams, w)
+                    assert got.shape == (len(times), len(lams))
+                    assert np.all(np.abs(got - ref) <= 1e-12 * ref)
 
     def test_block_matches_entries(self, basis64, const_weight):
         # the kernel CLI takes the spectral column of its table from one block
@@ -360,16 +370,12 @@ class TestTailBound:
 
     @staticmethod
     def refined_products(modes, basis, w):
-        """lambda_n int Phi_n du on a grid four times finer than the
-        family's: panel width max(1/16, |u|/64) over the same window."""
+        """lambda_n int Phi_n du on panels a quarter as wide as the
+        family's, over the same window."""
         lams = basis.eigenvalues[np.asarray(modes) - 1]
-        pts = [math.log(an_threshold(max(modes), basis, w)) + 300.0]
-        while pts[-1] > -1000.0:
-            pts.append(max(pts[-1] - max(1.0 / 16.0, abs(pts[-1]) / 64.0), -1000.0))
-        u, wu = gauss_panels(pts[::-1])
-        cut = w.power_moments(u + 1j * np.pi)
-        phi = cut.imag / ((cut.real + lams[:, None]) ** 2 + cut.imag ** 2)
-        return lams * (phi @ wu)
+        top = max(math.log(an_threshold(max(modes), basis, w)), 0.0) + 300.0
+        u, wu = quarter_log_grid(top)
+        return lams * (phi_rows(lams, u, w) @ wu)
 
     @pytest.fixture(scope="class")
     def families(self, basis64):
@@ -433,6 +439,46 @@ class TestKernelTable:
             KernelTable(modes=[1], times=[0.5], E=[[1.0]], G=[[-1.0]])
         with pytest.raises(PreconditionError):
             KernelTable(modes=[1, 2], times=[0.5], E=[[1.0]], G=[[1.0]])
+
+    def test_one_block_per_table(self, monkeypatch, basis64, tapered):
+        # the table is the transpose of one block on the solver's banded
+        # contour, bit for bit, however many times it holds
+        calls = []
+        real = kn.eval_kernel_block
+        monkeypatch.setattr(kn, "eval_kernel_block",
+                            lambda *args, **kw: calls.append(args) or real(*args, **kw))
+        modes = [1, 3, 64]
+        for times in ([0.5], np.logspace(-3, 4, 9)):
+            calls.clear()
+            table = build_kernel_table(basis64, tapered, times, modes=modes)
+            E, G = real(times, basis64.eigenvalues[np.array(modes) - 1], tapered)
+            assert len(calls) == 1
+            assert np.array_equal(table.E, E.T) and np.array_equal(table.G, G.T)
+
+
+_CHECKED_INPUTS = {
+    "eval_kernel_block-times": lambda b, w, v: eval_kernel_block(v, [1.0], w),
+    "eval_kernel_block-lambdas": lambda b, w, v: eval_kernel_block([1.0], v, w),
+    "eval_response_block-times": lambda b, w, v: eval_response_block(v, [1.0], w),
+    "eval_response_block-lambdas": lambda b, w, v: eval_response_block([1.0], v, w),
+    "shared_contour-times": lambda b, w, v: shared_contour(v, 1.0, w),
+    "eval_spectral_block-times": lambda b, w, v: eval_spectral_block(v, [1.0], w),
+    "eval_spectral_block-lambdas": lambda b, w, v: eval_spectral_block([1.0], v, w),
+    "tail_bound_products-modes": lambda b, w, v: tail_bound_products(v, b, w),
+    "build_kernel_table-times": lambda b, w, v: build_kernel_table(b, w, v),
+    "build_kernel_table-modes": lambda b, w, v: build_kernel_table(b, w, [1.0], modes=v),
+}
+
+
+@pytest.mark.parametrize("case", list(_CHECKED_INPUTS))
+def test_inputs_checked(basis64, tapered, case):
+    # an empty list is a precondition naming the argument; a non-positive
+    # entry is a domain error naming the value
+    call, arg = _CHECKED_INPUTS[case], case.split("-")[1]
+    with pytest.raises(PreconditionError, match=f"^{arg} is empty$"):
+        call(basis64, tapered, [])
+    with pytest.raises(DomainError, match=f"^{arg}: .* = -1"):
+        call(basis64, tapered, [2.0, -1.0])
 
 
 class TestDecayEnvelope:
