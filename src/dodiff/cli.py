@@ -37,7 +37,7 @@ _POSITIVE = textio.Interval(0.0, math.inf, "()")
 # its default and, for a number, the interval it must lie in (None: any).  A
 # default of None is worked out from other keys: operator.c_a is the least
 # a(x) on [0, L], problem.times eight times evenly spaced on (0, T] and
-# numerics.steps T/dt.
+# numerics.steps T/dt, by the oracle, which alone reads it.
 _SCHEMA = {
     "operator.kind": (str, "dirichlet", None),
     "operator.l": (float, math.pi, _POSITIVE),
@@ -89,17 +89,14 @@ class ProblemBundle:
     numerics: dict
 
 
-def _value(sections: dict, name: str, default=None):
+def _value(sections: dict, name: str):
     """Key ``name`` (``section.key``) of ``_SCHEMA``: its text, a number read
-    from it and checked against its interval, or its default (``default``
-    where the table has None, checked as well)."""
-    cast, fallback, interval = _SCHEMA[name]
+    from it and checked against its interval, or its default."""
+    cast, default, interval = _SCHEMA[name]
     section, key = name.split(".")
     text = sections.get(section, {}).get(key)
     if text is None:
-        if fallback is not None or default is None:
-            return fallback
-        text = repr(default)
+        return default
     return text if cast is str else textio.parse_number(text, name, cast, interval)
 
 
@@ -257,11 +254,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ProblemBundle:
     else:
         raise PreconditionError(f"problem.source descriptor {src_spec!r} not recognized")
 
-    dt = _value(sections, "numerics.dt")
-    # capped so that a tiny dt lands in the range check, not in an overflow
-    steps = max(1, int(round(min(horizon / dt, 1e9))))
-    derived = {"numerics.steps": steps}
-    numerics = {name.split(".")[1]: _value(sections, name, derived.get(name))
+    numerics = {name.split(".")[1]: _value(sections, name)
                 for name in _SCHEMA if name.startswith("numerics.")}
 
     return ProblemBundle(weight=weight, elliptic=elliptic, basis=basis,
@@ -339,7 +332,14 @@ def _cmd_solve(run: RunConfig, bundle: ProblemBundle, prov: list[str]) -> int:
 
 def _cmd_oracle(run: RunConfig, bundle: ProblemBundle, prov: list[str]) -> int:
     nm = bundle.numerics
-    cfg = oc.OracleConfig(dt=nm["dt"], steps=nm["steps"], grid_points=bundle.grid_points,
+    # T/dt unless set (a set value is checked already), capped so that a
+    # tiny dt lands in the range check, not in an overflow
+    steps = nm["steps"] or max(1, int(round(min(bundle.horizon / nm["dt"], 1e9))))
+    if steps not in _SCHEMA["numerics.steps"][2]:
+        raise PreconditionError(
+            f"numerics.steps = problem.T / numerics.dt = {bundle.horizon!r} / "
+            f"{nm['dt']!r} = {steps} outside {_SCHEMA['numerics.steps'][2]}")
+    cfg = oc.OracleConfig(dt=nm["dt"], steps=steps, grid_points=bundle.grid_points,
                           alpha_nodes=nm["alpha_nodes"])
     # checked before stepping: the history sum is O(K^2 M)
     for j, t in enumerate(bundle.times):

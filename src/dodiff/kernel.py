@@ -290,10 +290,18 @@ def _mode_lambda(basis: SpectralBasis, n: int) -> float:
 
 def _phi_on_cut(lambdas, logr, w: WeightFunction) -> np.ndarray:
     """Phi for every eigenvalue (rows) at every log r (columns), from one
-    evaluation of the cut value; log r keeps far tails from underflowing."""
+    evaluation of the cut value; log r keeps far tails from underflowing.
+    Each column is scaled by a power of two 2^-e <= min(1, 1/|D + iN|), so
+    no square overflows; being exact, it moves no value that did not overflow."""
     cut = w.power_moments(np.asarray(logr, dtype=float) + 1j * np.pi)
-    lam = np.asarray(lambdas, dtype=float)[:, None]
-    return cut.imag / ((cut.real + lam) ** 2 + cut.imag ** 2)
+    e = np.maximum(np.frexp(np.abs(cut))[1], 0)
+    num = np.ldexp(cut.imag, -e)
+    den = np.ldexp(np.asarray(lambdas, dtype=float)[:, None], -e)
+    den += np.ldexp(cut.real, -e)
+    den *= den
+    den += num * num
+    np.divide(num, den, out=den)
+    return np.ldexp(den, -e, out=den)
 
 
 def _log_grid(top: float, low: float = 0.0, high: float = 16.0):
@@ -325,7 +333,10 @@ def eval_spectral_block(times, lambdas, w: WeightFunction) -> np.ndarray:
     u, wu = _log_grid(math.log(_SPECTRAL_UPPER_RT) + high, min(0.0, low),
                       max(16.0, high))
     phi = _phi_on_cut(lambdas, u, w)
-    decay = np.exp(u - np.multiply.outer(times, np.exp(u))) * wu
+    # e^u capped at e^709 / t, beyond which e^(u - t e^u) is 0 either way
+    # and t e^u would overflow
+    rate = np.exp(np.minimum(u, 709.0 - np.log(times)[:, None])) * times[:, None]
+    decay = np.exp(u - rate) * wu
     return decay @ phi.T / np.pi
 
 

@@ -51,9 +51,6 @@ from .errors import DomainError, NumericError, PreconditionError
 _TAYLOR_TERMS = 28
 _TAYLOR_RADIUS = 2.0
 
-_CERT_SAMPLES = 512
-_DENSE_SAMPLES = 2048
-
 
 class NearCutWarning(UserWarning):
     """Evaluation requested very close to the branch cut (|arg s| > 3.1)."""
@@ -85,6 +82,14 @@ def _piece_moment(logs, a, b, offset, scaled, taylor):
     return (b - a) * out
 
 
+def _extremes(c, a, b):
+    """Least and largest value of the polynomial c on [a, b]."""
+    # polyroots drops zero top coefficients of p' itself (coeffs = 1 0 0)
+    x = npoly.polyroots(npoly.polyder(c)).real
+    vals = npoly.polyval(np.concatenate(([a, b], x[(a < x) & (x < b)])), c)
+    return float(vals.min()), float(vals.max())
+
+
 @dataclass(frozen=True)
 class WeightFunction:
     """Piecewise-polynomial order density with its concentration certificate.
@@ -96,6 +101,10 @@ class WeightFunction:
     explicitly rather than recomputed: for an essentially-bounded density
     the pointwise value at alpha0 is a convention, and the certificate makes
     that convention explicit.
+
+    The certificate (mu >= 0, mu >= mu_at_alpha0/2 on the window, mu = 0
+    above alpha1) is checked exactly per piece, with 1e-12 of slack; a given
+    ``sup_norm`` is only checked, then replaced by the largest value of mu.
     """
 
     breakpoints: np.ndarray
@@ -103,7 +112,7 @@ class WeightFunction:
     alpha0: float
     delta: float
     mu_at_alpha0: float
-    sup_norm: float
+    sup_norm: float | None = None
     alpha1: float | None = None
 
     def __post_init__(self):
@@ -113,8 +122,8 @@ class WeightFunction:
         object.__setattr__(self, "coeffs", cf)
         if bp.ndim != 1 or len(bp) < 2 or len(cf) != len(bp) - 1:
             raise PreconditionError("breakpoints/coeffs shape mismatch")
-        scalars = [self.alpha0, self.delta, self.mu_at_alpha0, self.sup_norm,
-                   0.0 if self.alpha1 is None else self.alpha1]
+        scalars = [self.alpha0, self.delta, self.mu_at_alpha0,
+                   *(v for v in (self.sup_norm, self.alpha1) if v is not None)]
         if not all(np.all(np.isfinite(a)) for a in (bp, *cf, scalars)):
             raise PreconditionError("weight fields must be finite")
         if not (abs(bp[0]) < 1e-15 and abs(bp[-1] - 1.0) < 1e-15):
@@ -129,42 +138,36 @@ class WeightFunction:
             raise PreconditionError("mu_at_alpha0 must be positive")
         if self.alpha1 is not None and not (self.alpha0 < self.alpha1 < 1.0):
             raise PreconditionError(f"alpha1 = {self.alpha1} outside (alpha0, 1)")
-        self._check_samples()
+        # (violation, open interval, bounds on mu there); no alpha1: empty
+        lo, hi = self.alpha0 - self.delta, self.alpha0
+        claim = math.inf if self.sup_norm is None else self.sup_norm
+        conditions = [("density invariant violated: mu < 0", 0.0, 1.0, 0.0, math.inf),
+                      (f"sup_norm invariant violated: mu > sup_norm = {claim}",
+                       0.0, 1.0, -math.inf, claim),
+                      ("concentration invariant violated: mu < mu(alpha0)/2 on "
+                       f"({lo}, {hi})", lo, hi, 0.5 * self.mu_at_alpha0, math.inf),
+                      ("upper-cutoff invariant violated: mu != 0 on (alpha1, 1)",
+                       self.alpha1 or 1.0, 1.0, 0.0, 0.0)]
+        wholes = [_extremes(c, a, b) for a, b, c in zip(bp[:-1], bp[1:], cf)]
         # per nonzero piece: its ends, (-h)^j p^(j)(b) and the Taylor
         # coefficients sum_j (-h)^j p^(j)(b) / (m + j + 1)! of the phi sum
         pieces = []
-        for a, b, c in zip(bp[:-1], bp[1:], cf):
+        for k, (a, b, c, whole) in enumerate(zip(bp[:-1], bp[1:], cf, wholes)):
+            for name, x0, x1, floor, ceil in conditions:
+                if a < x1 and b > x0:
+                    least, most = (whole if x0 <= a and b <= x1 else
+                                   _extremes(c, max(a, x0), min(b, x1)))
+                    if least < floor - 1e-12 or most > ceil + 1e-12:
+                        raise PreconditionError(f"{name}: mu spans [{least!r}, {most!r}]"
+                                                f" on piece {k} [{a}, {b}]")
             if np.any(c != 0.0):
                 scaled = tuple((a - b) ** j * npoly.polyval(b, npoly.polyder(c, j))
                                for j in range(len(c)))
                 taylor = tuple(sum(g / math.factorial(m + j + 1) for j, g in enumerate(scaled))
                                for m in reversed(range(_TAYLOR_TERMS)))
                 pieces.append((a, b, scaled, taylor))
+        object.__setattr__(self, "sup_norm", max(most for _, most in wholes))
         object.__setattr__(self, "_pieces", tuple(pieces))
-
-    def _check_samples(self):
-        grid = np.linspace(0.0, 1.0, _DENSE_SAMPLES)
-        vals = self._eval_many(grid)
-        if np.any(vals < -1e-12):
-            raise PreconditionError("density invariant violated: mu < 0 on [0, 1]")
-        if self.sup_norm < vals.max() - 1e-12:
-            raise PreconditionError(
-                "sup_norm invariant violated: stored bound below sampled maximum"
-            )
-        # concentration window is open, so sample strictly inside it
-        lo, hi = self.alpha0 - self.delta, self.alpha0
-        win = lo + self.delta * (np.arange(_CERT_SAMPLES) + 0.5) / _CERT_SAMPLES
-        if np.any(self._eval_many(win) < 0.5 * self.mu_at_alpha0 - 1e-12):
-            raise PreconditionError(
-                "concentration invariant violated: mu < mu(alpha0)/2 on "
-                f"({lo}, {hi})"
-            )
-        if self.alpha1 is not None:
-            tail = np.linspace(self.alpha1, 1.0, _CERT_SAMPLES)[1:]
-            if np.any(np.abs(self._eval_many(tail)) > 1e-12):
-                raise PreconditionError(
-                    "upper-cutoff invariant violated: mu != 0 on (alpha1, 1)"
-                )
 
     def _eval_many(self, alpha: np.ndarray) -> np.ndarray:
         alpha = np.asarray(alpha, dtype=float)
@@ -202,7 +205,6 @@ def make_constant_weight(value: float = 1.0, alpha0: float = 0.5,
         alpha0=alpha0,
         delta=delta,
         mu_at_alpha0=value,
-        sup_norm=value,
     )
 
 
@@ -220,7 +222,6 @@ def make_box_weight(alpha0: float, h: float) -> WeightFunction:
         alpha0=alpha0,
         delta=h,
         mu_at_alpha0=1.0 / h,
-        sup_norm=1.0 / h,
         # the density vanishes beyond alpha0, so any cutoff in (alpha0, 1) is valid
         alpha1=0.5 * (alpha0 + 1.0),
     )
@@ -232,7 +233,7 @@ _WEIGHT_TYPES = {
     "constant": (make_constant_weight, (), ("value", "alpha0", "delta")),
     "box": (make_box_weight, ("alpha0", "h"), ()),
     "piecewise": (WeightFunction, ("breakpoints", "coeffs", "alpha0", "delta",
-                                   "mu_at_alpha0", "sup_norm"), ("alpha1",)),
+                                   "mu_at_alpha0"), ("sup_norm", "alpha1")),
 }
 # coeffs holds one array per polynomial piece, joined with ";"
 _ARRAY_KEYS = {"breakpoints": textio.parse_array,
@@ -288,7 +289,6 @@ def make_tapered_weight(level: float = 1.0, plateau_end: float = 0.75,
         alpha0=a0,
         delta=dl,
         mu_at_alpha0=level,
-        sup_norm=level,
         alpha1=support_end,
     )
 

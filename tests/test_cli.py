@@ -307,16 +307,23 @@ def test_readme_names_every_key():
     assert [key for key in keys if f"`{key}`" not in schema] == []
 
 
-def test_shipped_and_benchmark_documents_parse(monkeypatch):
-    # every document the benchmark generates, and every shipped config,
-    # stays inside the schema
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's job generator, ``perfbench/workloads.py``."""
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", root / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     # its dataclasses resolve their annotations through sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shipped_and_benchmark_documents_parse(workloads):
+    # every document the benchmark generates, and every shipped config,
+    # stays inside the schema
+    root = Path(__file__).resolve().parents[1]
     docs = [path.read_text() for path in sorted((root / "configs").glob("*.ini"))]
     assert len(docs) == 3
     for name in workloads.WORKLOADS:
@@ -324,6 +331,19 @@ def test_shipped_and_benchmark_documents_parse(monkeypatch):
             docs += workloads.build(name, seed).docs.values()
     for doc in docs:
         cli.parse_config(doc)
+
+
+def test_shipped_and_benchmark_weights_keep_sup_norm(workloads):
+    # the worked-out sup_norm of each shipped and benchmark weight is the
+    # value its builder or document declared before it was worked out
+    root = Path(__file__).resolve().parents[1]
+    declared = {"box": 50.0, "constant": 1.0, "tapered_fd": 1.0, "tapered": 1.0}
+    for name in ("box", "constant", "tapered_fd"):
+        doc = (root / "configs" / f"{name}.ini").read_text()
+        assert cli.parse_config(doc).weight.sup_norm == declared[name]
+    for name, body in workloads.WEIGHTS.items():
+        doc = body + "\n[problem]\ntimes = 1.0\n"
+        assert cli.parse_config(doc).weight.sup_norm == declared[name]
 
 
 class TestDispatch:
@@ -378,6 +398,33 @@ class TestDispatch:
                                                       "--set", "numerics.dt=0.01"])
         assert rc == 0
         assert (out / "oracle_field.csv").exists()
+
+    def test_steps_read_by_oracle_only(self, tmp_path, capsys):
+        # T / dt = 2e7 steps is past the oracle's range; solve and kernel
+        # do not step, so they run
+        config = (Path(__file__).resolve().parents[1] / "configs" / "constant.ini")
+        extra = ["--set", "problem.T=2e4", "--set", "problem.times=1e4"]
+        for sub in ("solve", "kernel"):
+            assert self.run(tmp_path, sub, config=config.read_text(), extra=extra)[0] == 0
+        capsys.readouterr()
+        rc, _ = self.run(tmp_path, "oracle", config=config.read_text(), extra=extra)
+        err = capsys.readouterr().err
+        assert rc == 1 and "20000000 outside [1, 10000000]" in err
+        assert all(key in err for key in ("numerics.steps", "problem.T", "numerics.dt"))
+
+    @pytest.mark.parametrize("name", ["box", "constant", "tapered_fd"])
+    def test_kernel_routes_agree_at_time_corners(self, tmp_path, name):
+        # t e^u and the squares of the cut value would overflow here; the
+        # suite turns any RuntimeWarning into a failure
+        config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini"
+        rc, out = self.run(tmp_path, "kernel", config=config.read_text(), extra=[
+            "--set", "operator.n=64", "--set", "problem.T=1e10",
+            "--set", "problem.times=1e-300 1e-200 1e-6 1.0 10000.0 1e10"])
+        assert rc == 0
+        rows = [ln.split(",") for ln in (out / "kernels.csv").read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        small = [float(r[-1]) for r in rows if float(r[1]) < 1e-100]
+        assert len(small) == 2 * 7 and max(small) <= 1e-12
 
     @pytest.mark.parametrize("override", ["numerics.dt=3e-3", "numerics.steps=500"])
     def test_oracle_off_grid_time_fails_before_stepping(self, tmp_path, capsys,

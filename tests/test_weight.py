@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
 import dodiff.weight as wt
+from dodiff import cli
 from dodiff import (
     DomainError,
     NumericError,
@@ -415,3 +417,78 @@ class TestInvariantsAndSerialization:
     def test_unknown_type(self):
         with pytest.raises(PreconditionError):
             wt.weight_from_mapping({"type": "spline"})
+
+
+# samples 1000 and 1001 of a 2048-point grid on [0, 1]: a certificate taken
+# on that grid misses both narrow pieces below
+_SAMPLE_GAP = (1000 / 2047, 1001 / 2047)
+
+
+def parabola_body(a, b, end, mid, **extra):
+    """A piecewise [weight] body: mu = 1 off [a, b], and on it the parabola
+    from ``end`` at a and b to ``mid`` at the midpoint (alpha0 = 0.3,
+    delta = 0.2, mu(alpha0) = 1), with the parabola's coefficients."""
+    m, k = 0.5 * (a + b), 4.0 * (end - mid) / (b - a) ** 2
+    c = np.array([mid + k * m * m, -2.0 * k * m, k])
+    body = {"type": "piecewise", "breakpoints": f"0 {a!r} {b!r} 1",
+            "coeffs": "1 ; " + " ".join(map(repr, c.tolist())) + " ; 1",
+            "alpha0": "0.3", "delta": "0.2", "mu_at_alpha0": "1", **extra}
+    return body, c
+
+
+# a dip to -1 centred between the two samples, which both read 0.0025, and
+# a spike to 5 under a claimed sup_norm of 1, strictly between them
+NARROW = {
+    "dip": (parabola_body(sum(_SAMPLE_GAP) / 2 - 3.45e-4, sum(_SAMPLE_GAP) / 2 + 3.45e-4,
+                          1.0, -1.0), r"density .* mu spans \[-1\.0, "),
+    "spike": (parabola_body(0.4886, 0.4889, 1.0, 5.0, sup_norm="1"),
+              r"sup_norm .* mu spans \[.*, 5\.0\]"),
+}
+
+
+class TestExactCertificate:
+    """The certificate is checked from each piece's exact extremes, and
+    sup_norm is worked out from them, not declared."""
+
+    @pytest.mark.parametrize("case", list(NARROW))
+    def test_narrow_violation_between_samples(self, case, tmp_path, capsys):
+        (body, c), message = NARROW[case]
+        a, b = (float(x) for x in body["breakpoints"].split()[1:3])
+        grid = np.linspace(0.0, 1.0, 2048)
+        inside = grid[(grid >= a) & (grid < b)]
+        # every sample of the old grid inside the piece reads in (0, 1]
+        vals = npoly.polyval(inside, c)
+        assert np.all((vals > 0.0) & (vals <= 1.0))
+        piece = re.escape(f"on piece 1 [{a}, {b}]")
+        with pytest.raises(PreconditionError, match=f"{message}.*{piece}"):
+            wt.weight_from_mapping(body)
+        doc = "[weight]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(doc + "\n[operator]\nN = 4\n\n[problem]\ntimes = 0.5 1.0\n")
+        rc = cli.main(["kernel", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1 and "[weight]" in err and f"piece 1 [{a}, {b}]" in err
+
+    def test_interior_maximum_is_sup_norm(self):
+        # 1 + 4 x (1 - x) peaks at 2 at the root x = 1/2 of p'
+        body = {"type": "piecewise", "breakpoints": "0 1", "coeffs": "1 4 -4",
+                "alpha0": "0.5", "delta": "0.25", "mu_at_alpha0": "2"}
+        assert wt.weight_from_mapping(body).sup_norm == pytest.approx(2.0, abs=1e-15)
+        # a claim above the maximum is accepted and replaced by it ...
+        w = wt.weight_from_mapping({**body, "sup_norm": "3"})
+        assert w.sup_norm == pytest.approx(2.0, abs=1e-15)
+        # ... and one below it is rejected, naming both values
+        with pytest.raises(PreconditionError, match=r"sup_norm = 1\.5: mu spans .*, 2\.0"):
+            wt.weight_from_mapping({**body, "sup_norm": "1.5"})
+
+    def test_trailing_zero_coefficients(self):
+        # p' = 0 0 has a zero leading coefficient; a root finder that kept
+        # it would divide by zero, and the warning fails the test
+        body = {"type": "piecewise", "breakpoints": "0 0.5 1", "coeffs": "1 0 0 ; 0 0 0",
+                "alpha0": "0.5", "delta": "0.25", "mu_at_alpha0": "1"}
+        assert wt.weight_from_mapping(body).sup_norm == 1.0
+
+    def test_builders_work_out_sup_norm(self):
+        assert make_constant_weight(2.5).sup_norm == 2.5
+        assert make_box_weight(0.5, 0.02).sup_norm == 50.0
+        assert make_tapered_weight(level=1.0).sup_norm == 1.0
