@@ -71,8 +71,11 @@ _PANEL_ORDER = 16
 _PANEL_RATIO = 2.0
 _ARC_COUNT = 24
 _TAIL_DECADES = 16.0
-# times per exponential block, bounding the working set of a kernel block
+# times per exponential block and entries per (modes x nodes) coefficient
+# slice, bounding the working set of a kernel block: t = 1e-300 puts about
+# 16k nodes on one band, which at 4096 modes would be 1 GB per array
 _CHUNK = 64
+_SLICE_ENTRIES = 2 ** 22
 # spectral route: the top of its log r grid sits where r t_min reaches this
 _SPECTRAL_UPPER_RT = 40.0
 
@@ -229,9 +232,9 @@ def _contour_block(times, lambdas, w: WeightFunction, cfg: KernelConfig | None,
                    spec: ContourSpec | None, response: bool):
     """The contour quadrature behind every kernel pair.
 
-    All times share one contour, so the symbol is evaluated once
-    and only the exponential factor varies; times are chunked to bound the
-    working set.  The pairs differ only in the factor multiplying
+    All times share one contour, so the symbol is evaluated once and only
+    the exponential factor varies; times are chunked, and modes sliced, to
+    bound the working set.  The pairs differ only in the factor multiplying
     1/(s w(s) + lambda) at each node: w(s) and 1 for (E, G), s^-1 and s^-2
     for (K_1, K_2).  The arc encloses s = 0, so the poles of s^-k need no
     separate contour.
@@ -264,21 +267,24 @@ def _contour_block(times, lambdas, w: WeightFunction, cfg: KernelConfig | None,
     s = np.exp(logs)
     sw = w.power_moments(logs)
     ds = np.concatenate([wr * np.exp(1j * spec.theta), 1j * s[len(r):] * wb])
-    mult_a, mult_b = (1.0 / s, 1.0 / s ** 2) if response else (sw / s, 1.0)
-
-    denom = np.add.outer(lambdas, sw)                 # (n_modes, n_nodes)
-    coef_b = np.divide(ds, denom, out=denom)
-    coef_a = coef_b * mult_a
-    coef_b *= mult_b
+    # (1/s)^2, not 1/s^2: the cutoff of t = 1e-300 puts |s|^2 past the
+    # float range
+    mult_a, mult_b = (1.0 / s, (1.0 / s) ** 2) if response else (sw / s, 1.0)
 
     A = np.empty((len(times), len(lambdas)))
     B = np.empty_like(A)
-    for lo in range(0, len(times), _CHUNK):
-        ex = np.exp(np.multiply.outer(times[lo:lo + _CHUNK], s))
-        # the lower half is the conjugate of the upper, so the closed
-        # contour gives (a - conj a) / (2 pi i) = Im(a) / pi
-        A[lo:lo + _CHUNK] = (ex @ coef_a.T).imag / np.pi
-        B[lo:lo + _CHUNK] = (ex @ coef_b.T).imag / np.pi
+    step = max(1, _SLICE_ENTRIES // len(s))
+    for m in range(0, len(lambdas), step):
+        denom = np.add.outer(lambdas[m:m + step], sw)  # (modes, nodes)
+        coef_b = np.divide(ds, denom, out=denom)
+        coef_a = coef_b * mult_a
+        coef_b *= mult_b
+        for lo in range(0, len(times), _CHUNK):
+            ex = np.exp(np.multiply.outer(times[lo:lo + _CHUNK], s))
+            # the lower half is the conjugate of the upper, so the closed
+            # contour gives (a - conj a) / (2 pi i) = Im(a) / pi
+            A[lo:lo + _CHUNK, m:m + step] = (ex @ coef_a.T).imag / np.pi
+            B[lo:lo + _CHUNK, m:m + step] = (ex @ coef_b.T).imag / np.pi
     return A, B
 
 

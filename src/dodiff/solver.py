@@ -13,10 +13,10 @@ G_n is near the origin or large lambda_n is.  Sources enter as callables
 returning mode coefficients; projection of a spatial source is the caller's
 concern, which keeps this module purely spectral.
 
-The source response of a whole time grid is one (times x modes) array.
-Panels on which the source does not change contribute exactly zero and are
-dropped, and consecutive output times share one (K_1, K_2) block, so a
-constant source costs one K_1 row per output time (see ``duhamel``).
+The source response of a whole time grid is one (times x modes) array:
+K_1 at every output time from one block, and K_2 only at the ends of the
+panels on which the source changes; the others contribute exactly zero.
+A constant source thus costs one K_1 row per output time (see ``duhamel``).
 Solution fields are written once and immutable afterwards.
 """
 
@@ -124,55 +124,36 @@ def duhamel(problem: ProblemSpec, times, n_nodes: int = DUHAMEL_NODES,
                             * (f(t - sigma_j) - f(t - sigma_(j+1))),
 
     so a constant source returns K_1(t) f to rounding for any panel count.
-    A panel whose source difference is 0 in every mode adds exactly 0 and is
-    dropped, so a time needs K_1 at t and K_2 at the edges of its live panels
-    only (K_2(0) = 0): t alone for a constant source, every nonzero edge for
-    a varying one.  Consecutive times share one ``eval_response_block`` call
-    while their sigma values number at most P + 1, P = ``n_nodes``: up to
-    P + 1 times per call for a constant source, one time per call for a
-    source that varies on every panel.
+    K_1 comes from one ``eval_response_block`` call at all the times.  A
+    panel whose source difference is 0 in every mode adds exactly 0 and is
+    dropped; a time with live panels makes one more call, at the ends
+    sigma > 0 of those panels (K_2(0) = 0).  A constant source thus costs
+    one call, and a row depends on no other time but through K_1's contour.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     for t in times:
         _check_time(problem, t)
-    out = np.zeros((len(times), problem.basis.n_modes))
     if problem.source is None:
-        return out
-    group, sigma = [], []
+        return np.zeros((len(times), problem.basis.n_modes))
+    lams, w = problem.basis.eigenvalues, problem.weight
+    out = eval_response_block(times, lams, w, cfg=cfg)[0]
     for row, t in enumerate(times):
         edges, h = duhamel_mesh(float(t), n_nodes=n_nodes)
         f = np.array([np.asarray(problem.source(t - s), dtype=float) for s in edges])
         if not np.all(np.isfinite(f)):
             raise NumericError("source evaluation produced non-finite values")
+        out[row] *= f[-1]
         df = f[:-1] - f[1:]
         live = np.flatnonzero(np.any(df != 0.0, axis=1))
-        need = np.union1d(np.concatenate([live, live + 1]), [n_nodes])
-        need = need[need > 0]
-        if group and len(sigma) + len(need) > n_nodes + 1:
-            _response_rows(problem, sigma, group, out, cfg)
-            group, sigma = [], []
-        # position of each edge in the block's sigma; edge 0 maps to the
-        # zero row appended for K_2(0).  Only f(0) and the live differences
-        # are kept, copied out of f so that f itself is freed.
-        at = np.full(n_nodes + 1, -1)
-        at[need] = len(sigma) + np.arange(len(need))
-        sigma.extend(edges[need])
-        group.append((row, at[n_nodes], f[-1].copy(), at[live], at[live + 1],
-                      h[live], df[live]))
-    _response_rows(problem, sigma, group, out, cfg)
+        if live.size:
+            ends = np.union1d(live, live + 1)
+            ends = ends[ends > 0]
+            K2 = np.zeros((n_nodes + 1, len(lams)))
+            K2[ends] = eval_response_block(edges[ends], lams, w, cfg=cfg)[1]
+            # mean of K_1 over each live panel times its source difference
+            out[row] += np.einsum("jn,jn->n", (K2[live + 1] - K2[live]) / h[live, None],
+                                  df[live])
     return out
-
-
-def _response_rows(problem: ProblemSpec, sigma, group, out: np.ndarray,
-                   cfg: KernelConfig | None):
-    """Fill the rows of one group of output times from one (K_1, K_2) block."""
-    K1, K2 = eval_response_block(sigma, problem.basis.eigenvalues,
-                                 problem.weight, cfg=cfg)
-    K2 = np.vstack([K2, np.zeros(K2.shape[1])])
-    for row, at_t, f0, lo, hi, h, df in group:
-        # mean of K_1 over each live panel times its source difference
-        out[row] = K1[at_t] * f0 + np.einsum("jn,jn->n",
-                                             (K2[hi] - K2[lo]) / h[:, None], df)
 
 
 def solve(problem: ProblemSpec, times, n_nodes: int = DUHAMEL_NODES,

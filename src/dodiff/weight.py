@@ -103,8 +103,10 @@ class WeightFunction:
     that convention explicit.
 
     The certificate (mu >= 0, mu >= mu_at_alpha0/2 on the window, mu = 0
-    above alpha1) is checked exactly per piece, with 1e-12 of slack; a given
-    ``sup_norm`` is only checked, then replaced by the largest value of mu.
+    above alpha1) is checked exactly per piece, with a slack of a few
+    rounding units of the size sum |c_k| x^k of the piece's terms, never
+    below 1e-12; a given ``sup_norm`` is only checked, then replaced by the
+    largest value of mu.
     """
 
     breakpoints: np.ndarray
@@ -155,9 +157,13 @@ class WeightFunction:
         for k, (a, b, c, whole) in enumerate(zip(bp[:-1], bp[1:], cf, wholes)):
             for name, x0, x1, floor, ceil in conditions:
                 if a < x1 and b > x0:
-                    least, most = (whole if x0 <= a and b <= x1 else
-                                   _extremes(c, max(a, x0), min(b, x1)))
-                    if least < floor - 1e-12 or most > ceil + 1e-12:
+                    u, v = max(a, x0), min(b, x1)
+                    least, most = whole if (u, v) == (a, b) else _extremes(c, u, v)
+                    # Horner rounds mu by under 2 deg eps sum |c_k| x^k, at
+                    # most at v; twice that covers the rounded roots of p'
+                    slack = max(1e-12, 4 * len(c) * np.finfo(float).eps
+                                * npoly.polyval(v, np.abs(c)))
+                    if least < floor - slack or most > ceil + slack:
                         raise PreconditionError(f"{name}: mu spans [{least!r}, {most!r}]"
                                                 f" on piece {k} [{a}, {b}]")
             if np.any(c != 0.0):

@@ -414,17 +414,33 @@ class TestDispatch:
 
     @pytest.mark.parametrize("name", ["box", "constant", "tapered_fd"])
     def test_kernel_routes_agree_at_time_corners(self, tmp_path, name):
-        # t e^u and the squares of the cut value would overflow here; the
-        # suite turns any RuntimeWarning into a failure
+        # t e^u, the squares of the cut value and |s|^2 at the contour's
+        # cutoff would overflow here; the suite turns any RuntimeWarning
+        # into a failure.  solve runs homogeneous and sourced.
         config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini"
-        rc, out = self.run(tmp_path, "kernel", config=config.read_text(), extra=[
-            "--set", "operator.n=64", "--set", "problem.T=1e10",
-            "--set", "problem.times=1e-300 1e-200 1e-6 1.0 10000.0 1e10"])
-        assert rc == 0
-        rows = [ln.split(",") for ln in (out / "kernels.csv").read_text().splitlines()
-                if not ln.startswith("#")][1:]
-        small = [float(r[-1]) for r in rows if float(r[1]) < 1e-100]
-        assert len(small) == 2 * 7 and max(small) <= 1e-12
+        config = config.read_text()
+        for n_modes in (1, 64):
+            extra = ["--set", f"operator.n={n_modes}", "--set", "problem.T=1e10",
+                     "--set", "problem.times=1e-300 1e-200 1e-6 1.0 10000.0 1e10"]
+            sources = ("none", "modes: 1" + " -0.5" * (n_modes > 1))
+            (tmp_path / f"{n_modes}").mkdir()
+            rc, out = self.run(tmp_path / f"{n_modes}", "kernel", config=config,
+                               extra=extra + ["--set", "problem.source=none"])
+            assert rc == 0
+            rows = [ln.split(",") for ln in (out / "kernels.csv").read_text().splitlines()
+                    if not ln.startswith("#")][1:]
+            small = [float(r[-1]) for r in rows if float(r[1]) < 1e-100]
+            assert len(small) == 2 * (7 if n_modes == 64 else 1) and max(small) <= 1e-12
+            for k, source in enumerate(sources):
+                run_dir = tmp_path / f"{n_modes}-{k}"
+                run_dir.mkdir()
+                rc, out = self.run(run_dir, "solve", config=config,
+                                   extra=extra + ["--set", f"problem.source={source}"])
+                assert rc == 0, source
+                for csv in out.glob("*.csv"):
+                    rows = [ln.split(",") for ln in csv.read_text().splitlines()
+                            if not ln.startswith("#")][1:]
+                    assert rows and np.all(np.isfinite(np.array(rows, dtype=float))), csv
 
     @pytest.mark.parametrize("override", ["numerics.dt=3e-3", "numerics.steps=500"])
     def test_oracle_off_grid_time_fails_before_stepping(self, tmp_path, capsys,

@@ -152,8 +152,8 @@ class TestDuhamel:
 
 
 class TestResponseBlock:
-    """``duhamel`` over many output times: dead panels are dropped and
-    consecutive times share one (K_1, K_2) block."""
+    """``duhamel`` over many output times: K_1 for all of them from one
+    block, K_2 per time at the ends of its live panels only."""
 
     TIMES = np.sort(np.r_[np.logspace(-4, 2, 7), 0.995, 1.0])
 
@@ -188,7 +188,7 @@ class TestResponseBlock:
     @pytest.mark.parametrize("source", ["constant", "linear", "cos", "bump"])
     def test_rows_match_single_time_calls(self, source, basis16, box_half,
                                           monkeypatch):
-        # a row must not depend on the times grouped with it; the contour is
+        # a row must not depend on the other times of its call; the contour is
         # held fixed because K_2 carries absolute contour error, which a
         # change of contour turns into ~1e-8 relative on the bump's narrow
         # panels
@@ -205,17 +205,18 @@ class TestResponseBlock:
             single = duhamel(prob, [t], n_nodes=n_nodes)[0]
             assert np.all(np.abs(rows[j] - single) <= 1e-12 * np.abs(single)), t
 
-    @pytest.mark.parametrize("source", ["constant", "linear", "cos"])
+    @pytest.mark.parametrize("source", ["constant", "linear", "cos", "bump"])
     def test_rows_match_on_default_contours(self, source, basis16, box_half):
-        # each block on its own contour, as in a solve: grouped
-        # constant-source times share a contour their single-time calls do
-        # not, which K_1, all a constant source needs, does not feel; the
-        # varying sources get one block per time either way
+        # each block on its own contour, as in a solve: K_1 of all the times
+        # shares a contour their single-time calls do not, which K_1 does
+        # not feel; K_2, which the bump's narrow panels do feel, is taken
+        # per time from that time's panel ends alone
+        n_nodes = 4096 if source == "bump" else 256
         prob = ProblemSpec(box_half, basis16, np.zeros(16),
                            self.sources(16)[source], 100.0)
-        rows = duhamel(prob, self.TIMES)
+        rows = duhamel(prob, self.TIMES, n_nodes=n_nodes)
         for j, t in enumerate(self.TIMES):
-            single = duhamel(prob, [t])[0]
+            single = duhamel(prob, [t], n_nodes=n_nodes)[0]
             assert np.all(np.abs(rows[j] - single) <= 1e-12 * np.abs(single)), t
 
     @pytest.mark.parametrize("t", [0.995, 1.0, 1.02])
@@ -244,10 +245,12 @@ class TestResponseBlock:
                 times)
         assert len(sigmas) == 1 and np.array_equal(sigmas[0], times)
 
+        # a source that changes on every panel: K_2 at every edge but 0
         sigmas.clear()
         src = self.sources(16)["cos"]
         duhamel(ProblemSpec(box_half, basis16, np.zeros(16), src, 1.0), times)
-        assert [len(s) for s in sigmas] == [DUHAMEL_NODES] * len(times)
+        assert np.array_equal(sigmas[0], times)
+        assert [len(s) for s in sigmas[1:]] == [DUHAMEL_NODES] * len(times)
 
 
 class TestSolve:

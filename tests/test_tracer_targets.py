@@ -82,6 +82,26 @@ def test_point_counter_reads_logs(const_weight):
     assert list(tr.counts.values()) == [{"points": logs.size}]
 
 
+def test_source_response_spans(tmp_path):
+    # a sourced solve books its source response to solver.duhamel, inside
+    # solver.solve, and its homogeneous part to the kernel block
+    tracer = load_tracer()
+    doc = tmp_path / "sourced.ini"
+    doc.write_text("[weight]\ntype = constant\n\n[operator]\nN = 8\n\n[problem]\n"
+                   "u0 = modes: 1\nsource = modes: 0.5\nT = 1.0\ntimes = 0.5 1.0\n")
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        status = cli.main(["solve", "--config", str(doc), "--out", str(tmp_path / "out")])
+    finally:
+        tr.uninstall()
+    assert status == 0
+    names = {sid: name for sid, name, *_ in tr.spans}
+    parents = [parent for _, name, _, _, parent, _ in tr.spans if name == "solver.duhamel"]
+    assert parents and all(names[p] == "solver.solve" for p in parents)
+    assert "kernel.eval_kernel_block" in names.values()
+
+
 # loose ceilings: far above the values the probes give, far below a break
 PROBE_CEILINGS = {"source": 1e-6, "kernel": 1e-6, "oracle": 0.02}
 

@@ -436,11 +436,13 @@ def parabola_body(a, b, end, mid, **extra):
     return body, c
 
 
-# a dip to -1 centred between the two samples, which both read 0.0025, and
+# a dip to -1 centred between the two samples, which both read 0.0025, a
+# dip to -1 on a piece 2e-6 wide, whose terms (~2e12) round mu by ~4e-4, and
 # a spike to 5 under a claimed sup_norm of 1, strictly between them
 NARROW = {
     "dip": (parabola_body(sum(_SAMPLE_GAP) / 2 - 3.45e-4, sum(_SAMPLE_GAP) / 2 + 3.45e-4,
                           1.0, -1.0), r"density .* mu spans \[-1\.0, "),
+    "tiny_dip": (parabola_body(0.4888, 0.488802, 1.0, -1.0), r"density .* mu spans \[-1\.0, "),
     "spike": (parabola_body(0.4886, 0.4889, 1.0, 5.0, sup_norm="1"),
               r"sup_norm .* mu spans \[.*, 5\.0\]"),
 }
@@ -468,6 +470,13 @@ class TestExactCertificate:
         rc = cli.main(["kernel", "--config", str(cfg), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 1 and "[weight]" in err and f"piece 1 [{a}, {b}]" in err
+
+    def test_narrow_bump_accepted(self):
+        # a bump from 0 at its ends to 1 at its midpoint: coefficients ~1e7
+        # cancel to mu, which rounding puts at -1.9e-9 at the ends; the
+        # slack, a few rounding units of the terms (~1e-7), accepts it
+        body, _ = parabola_body(0.4886, 0.4889, 0.0, 1.0)
+        assert wt.weight_from_mapping(body).sup_norm == pytest.approx(1.0, abs=1e-8)
 
     def test_interior_maximum_is_sup_norm(self):
         # 1 + 4 x (1 - x) peaks at 2 at the root x = 1/2 of p'
