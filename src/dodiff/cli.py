@@ -36,8 +36,9 @@ _POSITIVE = textio.Interval(0.0, math.inf, "()")
 # Every key of [operator], [problem] and [numerics]: its type (str for text),
 # its default and, for a number, the interval it must lie in (None: any).  A
 # default of None is worked out from other keys: operator.c_a is the least
-# a(x) on [0, L], problem.times eight times evenly spaced on (0, T] and
-# numerics.steps T/dt, by the oracle, which alone reads it.
+# a(x) on the points EllipticCoefficients checks, problem.times eight times
+# evenly spaced on (0, T] and numerics.steps T/dt, by the oracle, which alone
+# reads it.
 _SCHEMA = {
     "operator.kind": (str, "dirichlet", None),
     "operator.l": (float, math.pi, _POSITIVE),
@@ -125,9 +126,9 @@ def _expression(expr: str):
 
     def walk(node, x):
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            return float(node.value)
+            return np.float64(node.value)
         if isinstance(node, ast.Name) and node.id in ("x", "pi"):
-            return x if node.id == "x" else np.pi
+            return x if node.id == "x" else np.float64(np.pi)
         if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
             return _OPERATORS[type(node.op)](walk(node.left, x), walk(node.right, x))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
@@ -141,8 +142,14 @@ def _expression(expr: str):
 
     def fn(x):
         x = np.asarray(x, dtype=float)
+        # numpy scalars under raised float errors: a complex power, a root of
+        # a negative, a division by zero and an overflow fail here, as does
+        # an infinite literal such as 1e999, not later in the eigensolver
         try:
-            out = walk(tree, x)
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                out = walk(tree, x)
+            if not np.all(np.isfinite(out)):
+                raise FloatingPointError("value is not finite")
         except (ArithmeticError, RecursionError) as exc:
             raise PreconditionError(f"cannot evaluate expression {expr!r}: {exc}")
         return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
@@ -177,9 +184,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ProblemBundle:
     n_modes = _value(sections, "operator.n")
     a_fn = _expression(_value(sections, "operator.a"))
     q_fn = _expression(_value(sections, "operator.q"))
-    c_a = (_value(sections, "operator.c_a") if "c_a" in op
-           else float(np.min(a_fn(np.linspace(0, length, 257)))))
-    elliptic = sp.EllipticCoefficients(a=a_fn, q=q_fn, c_a=c_a, length=length)
+    elliptic = sp.EllipticCoefficients(a=a_fn, q=q_fn, length=length,
+                                       c_a=_value(sections, "operator.c_a"))
     M = _value(sections, "operator.m")
     # the oracle's grid: M points, or N + 2 for more modes (fd rejects those)
     grid_points = max(M, n_modes + 2)
@@ -411,7 +417,9 @@ def _parse_overrides(pairs) -> dict:
     return overrides
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dodiff",
         description="Distributed-order fractional diffusion solver and checks")

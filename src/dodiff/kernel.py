@@ -18,9 +18,10 @@ The same contour, with s^-k in place of w(s), gives the time integrals of G,
     K_k(t) = (1/2 pi i) int_gamma s^(-k)/(s w(s) + lambda_n) e^(st) ds,
 
 whose panel differences the solver uses for product integration of the
-source term (K_1(t) = int_0^t G_n, K_2(t) = int_0^t K_1).  Every pair comes
-out of one quadrature assembly; only the factor at each node differs.  E is
-kept on its own factor rather than written as 1 - lambda_n K_1, which would
+source term (K_1(t) = int_0^t G_n, K_2(t) = int_0^t K_1).  Every kernel
+comes out of one quadrature assembly, ``eval_kernels``, which computes the
+kernels its caller names; only the factor at each node differs.  E is kept
+on its own factor rather than written as 1 - lambda_n K_1, which would
 cancel catastrophically once lambda_n t^alpha is large.
 
 Independently, squeezing the contour onto the branch cut yields the
@@ -218,43 +219,54 @@ def eval_kernel_block(times, lambdas, w: WeightFunction,
                       cfg: KernelConfig | None = None,
                       spec: ContourSpec | None = None):
     """(E, G) arrays of shape (n_times, n_modes) over a whole time grid."""
-    return _contour_block(times, lambdas, w, cfg, spec, response=False)
+    return eval_kernels(times, lambdas, w, ("E", "G"), cfg=cfg, spec=spec)
 
 
-def eval_response_block(times, lambdas, w: WeightFunction,
-                        cfg: KernelConfig | None = None):
-    """(K_1, K_2) arrays of shape (n_times, n_modes): the first and second
-    time integrals of G_n, K_k(t) = L^-1[s^-k / (s w(s) + lambda_n)](t)."""
-    return _contour_block(times, lambdas, w, cfg, None, response=True)
+# each kernel's factor on ds/(s w(s) + lambda) at a contour node, from the
+# node s and its symbol s w(s); K2 is (1/s)^2, not 1/s^2: the cutoff of
+# t = 1e-300 puts |s|^2 past the float range
+_FACTORS = {
+    "E": lambda s, sw: sw / s,
+    "G": lambda s, sw: 1.0,
+    "K1": lambda s, sw: 1.0 / s,
+    "K2": lambda s, sw: (1.0 / s) ** 2,
+}
 
 
-def _contour_block(times, lambdas, w: WeightFunction, cfg: KernelConfig | None,
-                   spec: ContourSpec | None, response: bool):
-    """The contour quadrature behind every kernel pair.
+def eval_kernels(times, lambdas, w: WeightFunction, kernels,
+                 cfg: KernelConfig | None = None,
+                 spec: ContourSpec | None = None):
+    """The contour quadrature behind every kernel: one array of shape
+    (n_times, n_modes) per name in ``kernels`` (E, G, K1 or K2), in order.
 
     All times share one contour, so the symbol is evaluated once and only
     the exponential factor varies; times are chunked, and modes sliced, to
-    bound the working set.  The pairs differ only in the factor multiplying
-    1/(s w(s) + lambda) at each node: w(s) and 1 for (E, G), s^-1 and s^-2
-    for (K_1, K_2).  The arc encloses s = 0, so the poles of s^-k need no
-    separate contour.
+    bound the working set.  The kernels differ only in the factor
+    multiplying ds/(s w(s) + lambda) at each node (``_FACTORS``), so each
+    name costs one product per mode slice and one matmul per time chunk.
+    The arc encloses s = 0, so the poles of s^-k need no separate contour.
     """
+    kernels = tuple(kernels)
+    if not (kernels and set(kernels) <= set(_FACTORS)
+            and len(set(kernels)) == len(kernels)):
+        raise PreconditionError(f"kernels = {kernels!r} must name one or more "
+                                f"of {', '.join(_FACTORS)}, none twice")
     times = _positive(times, "times", "t")
     lambdas = _positive(lambdas, "lambdas", "lambda")
+    out = [np.empty((len(times), len(lambdas))) for _ in kernels]
     if spec is None and times.max() > 1e3 * times.min():
         # wide spans would force very long ray gradings; band the grid so
         # each shared contour covers at most three decades
         order = np.argsort(times)
-        A = np.empty((len(times), len(lambdas)))
-        B = np.empty_like(A)
         lo = 0
         while lo < len(order):
             hi = np.searchsorted(times[order], 1e3 * times[order[lo]], side="right")
             idx = order[lo:hi]
-            A[idx], B[idx] = _contour_block(times[idx], lambdas, w, cfg, None,
-                                            response)
+            for dst, band in zip(out, eval_kernels(times[idx], lambdas, w,
+                                                   kernels, cfg)):
+                dst[idx] = band
             lo = hi
-        return A, B
+        return tuple(out)
     if spec is None:
         spec = shared_contour(times, float(lambdas.min()), w, cfg)
 
@@ -267,25 +279,23 @@ def _contour_block(times, lambdas, w: WeightFunction, cfg: KernelConfig | None,
     s = np.exp(logs)
     sw = w.power_moments(logs)
     ds = np.concatenate([wr * np.exp(1j * spec.theta), 1j * s[len(r):] * wb])
-    # (1/s)^2, not 1/s^2: the cutoff of t = 1e-300 puts |s|^2 past the
-    # float range
-    mult_a, mult_b = (1.0 / s, (1.0 / s) ** 2) if response else (sw / s, 1.0)
+    factors = [_FACTORS[name](s, sw) for name in kernels]
 
-    A = np.empty((len(times), len(lambdas)))
-    B = np.empty_like(A)
     step = max(1, _SLICE_ENTRIES // len(s))
     for m in range(0, len(lambdas), step):
         denom = np.add.outer(lambdas[m:m + step], sw)  # (modes, nodes)
-        coef_b = np.divide(ds, denom, out=denom)
-        coef_a = coef_b * mult_a
-        coef_b *= mult_b
+        base = np.divide(ds, denom, out=denom)
+        # the last product overwrites the base, which no name reads after it
+        coefs = [base * f for f in factors[:-1]]
+        base *= factors[-1]
+        coefs.append(base)
         for lo in range(0, len(times), _CHUNK):
             ex = np.exp(np.multiply.outer(times[lo:lo + _CHUNK], s))
-            # the lower half is the conjugate of the upper, so the closed
-            # contour gives (a - conj a) / (2 pi i) = Im(a) / pi
-            A[lo:lo + _CHUNK, m:m + step] = (ex @ coef_a.T).imag / np.pi
-            B[lo:lo + _CHUNK, m:m + step] = (ex @ coef_b.T).imag / np.pi
-    return A, B
+            for dst, coef in zip(out, coefs):
+                # the lower half is the conjugate of the upper, so the closed
+                # contour gives (a - conj a) / (2 pi i) = Im(a) / pi
+                dst[lo:lo + _CHUNK, m:m + step] = (ex @ coef.T).imag / np.pi
+    return tuple(out)
 
 
 def _mode_lambda(basis: SpectralBasis, n: int) -> float:

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericError, PreconditionError
-from .kernel import KernelConfig, eval_kernel_block, eval_response_block
+from .kernel import KernelConfig, eval_kernel_block, eval_kernels
 from .spectral import SpectralBasis, fractional_norm, synthesize
 from .weight import WeightFunction
 
@@ -124,11 +124,12 @@ def duhamel(problem: ProblemSpec, times, n_nodes: int = DUHAMEL_NODES,
                             * (f(t - sigma_j) - f(t - sigma_(j+1))),
 
     so a constant source returns K_1(t) f to rounding for any panel count.
-    K_1 comes from one ``eval_response_block`` call at all the times.  A
-    panel whose source difference is 0 in every mode adds exactly 0 and is
-    dropped; a time with live panels makes one more call, at the ends
-    sigma > 0 of those panels (K_2(0) = 0).  A constant source thus costs
-    one call, and a row depends on no other time but through K_1's contour.
+    K_1 comes from one ``eval_kernels`` call at all the times.  A panel
+    whose source difference is 0 in every mode adds exactly 0 and is
+    dropped; a time with live panels makes one more call, for K_2 alone at
+    the ends sigma > 0 of those panels (K_2(0) = 0).  A constant source
+    thus costs one call, and a row depends on no other time but through
+    K_1's contour.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     for t in times:
@@ -136,7 +137,7 @@ def duhamel(problem: ProblemSpec, times, n_nodes: int = DUHAMEL_NODES,
     if problem.source is None:
         return np.zeros((len(times), problem.basis.n_modes))
     lams, w = problem.basis.eigenvalues, problem.weight
-    out = eval_response_block(times, lams, w, cfg=cfg)[0]
+    (out,) = eval_kernels(times, lams, w, ("K1",), cfg=cfg)
     for row, t in enumerate(times):
         edges, h = duhamel_mesh(float(t), n_nodes=n_nodes)
         f = np.array([np.asarray(problem.source(t - s), dtype=float) for s in edges])
@@ -149,7 +150,7 @@ def duhamel(problem: ProblemSpec, times, n_nodes: int = DUHAMEL_NODES,
             ends = np.union1d(live, live + 1)
             ends = ends[ends > 0]
             K2 = np.zeros((n_nodes + 1, len(lams)))
-            K2[ends] = eval_response_block(edges[ends], lams, w, cfg=cfg)[1]
+            K2[ends] = eval_kernels(edges[ends], lams, w, ("K2",), cfg=cfg)[0]
             # mean of K_1 over each live panel times its source difference
             out[row] += np.einsum("jn,jn->n", (K2[live + 1] - K2[live]) / h[live, None],
                                   df[live])

@@ -26,25 +26,34 @@ ORTHONORMALITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class EllipticCoefficients:
-    """Diffusion a(x) >= c_a > 0 and potential q(x) >= 0 on [0, L]."""
+    """Diffusion a(x) >= c_a > 0 and potential q(x) >= 0 on [0, L], checked
+    on 513 points; a ``c_a`` of None becomes the least a on those points."""
 
     a: Callable[[np.ndarray], np.ndarray]
     q: Callable[[np.ndarray], np.ndarray]
-    c_a: float
     length: float
+    c_a: float | None = None
 
     def __post_init__(self):
         if self.length <= 0.0:
             raise PreconditionError(f"interval length {self.length} must be positive")
-        if self.c_a <= 0.0:
-            raise PreconditionError(f"ellipticity floor c_a = {self.c_a} must be positive")
         x = np.linspace(0.0, self.length, 513)
         av = np.broadcast_to(np.asarray(self.a(x), dtype=float), x.shape)
         qv = np.broadcast_to(np.asarray(self.q(x), dtype=float), x.shape)
-        if np.any(av < self.c_a - 1e-12):
-            raise PreconditionError("ellipticity invariant violated: a(x) < c_a")
-        if np.any(qv < -1e-12):
-            raise PreconditionError("potential invariant violated: q(x) < 0")
+        ka, kq = int(np.argmin(av)), int(np.argmin(qv))
+        if self.c_a is None:
+            object.__setattr__(self, "c_a", float(av[ka]))
+        # negated comparisons, so that a NaN fails them too
+        if not self.c_a > 0.0:
+            raise PreconditionError(
+                f"ellipticity floor c_a = {self.c_a} must be positive "
+                f"(least a: a({x[ka]}) = {av[ka]})")
+        if not av[ka] >= self.c_a - 1e-12:
+            raise PreconditionError(f"ellipticity invariant violated: "
+                                    f"a({x[ka]}) = {av[ka]} < c_a = {self.c_a}")
+        if not qv[kq] >= -1e-12:
+            raise PreconditionError(
+                f"potential invariant violated: q({x[kq]}) = {qv[kq]} < 0")
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,53 @@ BAD_VALUES = {
 }
 
 
+FD = MINIMAL + "\n[operator]\nkind = fd\nm = 201\nn = 8\n"
+# a dip to 0.5 between the 257 points the default c_a once came from
+DIP = FD + "a = 1 - 0.5*exp(-((x - 257*pi/512)/0.001)**2)\n"
+
+
+class TestCoefficientExpressions:
+    """A coefficient that is not finite and real anywhere on its sample is a
+    ``PreconditionError`` naming the expression, before any output."""
+
+    @pytest.mark.parametrize("subcommand", ["solve", "oracle"])
+    @pytest.mark.parametrize("key, expr", [
+        ("a", "sqrt(x - 1)"), ("q", "sqrt(x - 1)"), ("a", "exp(1000*x)"),
+        ("a", "(-1)**0.5"), ("a", "1/x"), ("a", "1e999")],
+        ids=["root-a", "root-q", "overflow", "complex-power", "pole",
+             "infinite-literal"])
+    def test_non_finite_named(self, key, expr, subcommand, tmp_path, capsys):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(FD + f"{key} = {expr}\n")
+        out = tmp_path / "out"
+        rc = cli.main([subcommand, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and f"cannot evaluate expression {expr!r}" in err
+        assert not out.exists()
+
+    def test_underflow_accepted(self, tmp_path):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(FD + "a = 1 + exp(-1000*x)\n")
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("subcommand", ["kernel", "solve", "oracle"])
+    def test_c_a_from_the_checked_sample(self, subcommand, tmp_path):
+        # without c_a the floor is the least a on the points it is checked on
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(DIP)
+        assert cli.main([subcommand, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert cli.parse_config(DIP).elliptic.c_a == pytest.approx(0.5)
+
+    def test_declared_c_a_above_a_named(self, tmp_path, capsys):
+        cfg = tmp_path / "config.ini"
+        cfg.write_text(DIP)
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                       "--set", "operator.c_a=0.9"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert re.search(r"a\(1\.5769\d*\) = 0\.5\d* < c_a = 0\.9", err), err
+
+
 class TestConfigErrors:
     """Malformed, non-finite or unknown config entries end in a
     ``PreconditionError`` that names them, for every subcommand."""

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -26,7 +27,7 @@ from dodiff.kernel import (
     eval_Gn_spectral,
     eval_kernel_block,
     eval_kernel_row,
-    eval_response_block,
+    eval_kernels,
     eval_spectral_block,
     shared_contour,
     tail_bound_products,
@@ -175,12 +176,46 @@ class TestContourKernels:
         lams = basis64.eigenvalues
         for t in (1e-4, 1.0, 1e4):
             E, _ = eval_kernel_block([t], lams, w)
-            K1, K2 = eval_response_block(t * np.array([1 - 1e-3, 1.0, 1 + 1e-3]),
-                                         lams, w)
+            K1, K2 = eval_kernels(t * np.array([1 - 1e-3, 1.0, 1 + 1e-3]),
+                                  lams, w, ("K1", "K2"))
             exact = (1.0 - E[0]) / lams
             assert np.max(np.abs(K1[1] - exact) / exact) <= 1e-11
             slope = (K2[2] - K2[0]) / (2e-3 * t)
             assert np.max(np.abs(slope - K1[1]) / K1[1]) <= 1e-5
+
+    def test_each_name_alone_is_bitwise_its_share(self, monkeypatch, basis64,
+                                                  tapered):
+        # a kernel must not depend on which others its call asks for: banded
+        # times (three contours) and modes sliced a few at a time
+        monkeypatch.setattr(kn, "_SLICE_ENTRIES", 2 ** 11)
+        times = np.logspace(-6, 4, 11)
+        lams = basis64.eigenvalues[:16]
+        names = ("E", "G", "K1", "K2")
+        every = dict(zip(names, eval_kernels(times, lams, tapered, names)))
+        for name in names:
+            (alone,) = eval_kernels(times, lams, tapered, (name,))
+            assert np.array_equal(alone, every[name]), name
+        E, G = eval_kernel_block(times, lams, tapered)
+        assert np.array_equal(E, every["E"]) and np.array_equal(G, every["G"])
+
+    def test_one_name_evaluates_one_factor(self, monkeypatch, const_weight):
+        looked_up = []
+
+        class Recording(dict):
+            def __getitem__(self, name):
+                looked_up.append(name)
+                return super().__getitem__(name)
+
+        monkeypatch.setattr(kn, "_FACTORS", Recording(kn._FACTORS))
+        eval_kernels(np.logspace(-6, 1, 5), [1.0, 4.0], const_weight, ("K2",))
+        assert set(looked_up) == {"K2"}
+
+    @pytest.mark.parametrize("kernels", [(), ("K1", "K1"), ("E", "K3"), ("",)],
+                             ids=["empty", "repeated", "unknown", "blank"])
+    def test_kernel_names_checked(self, kernels, const_weight):
+        with pytest.raises(PreconditionError,
+                           match=re.escape(f"kernels = {kernels!r} must name")):
+            eval_kernels([1.0], [1.0], const_weight, kernels)
 
     def test_shared_contour_spans(self, const_weight):
         spec = shared_contour([0.01, 1.0], 1.0, const_weight)
@@ -459,8 +494,8 @@ class TestKernelTable:
 _CHECKED_INPUTS = {
     "eval_kernel_block-times": lambda b, w, v: eval_kernel_block(v, [1.0], w),
     "eval_kernel_block-lambdas": lambda b, w, v: eval_kernel_block([1.0], v, w),
-    "eval_response_block-times": lambda b, w, v: eval_response_block(v, [1.0], w),
-    "eval_response_block-lambdas": lambda b, w, v: eval_response_block([1.0], v, w),
+    "eval_kernels-times": lambda b, w, v: eval_kernels(v, [1.0], w, ("K1", "K2")),
+    "eval_kernels-lambdas": lambda b, w, v: eval_kernels([1.0], v, w, ("K1", "K2")),
     "shared_contour-times": lambda b, w, v: shared_contour(v, 1.0, w),
     "eval_spectral_block-times": lambda b, w, v: eval_spectral_block(v, [1.0], w),
     "eval_spectral_block-lambdas": lambda b, w, v: eval_spectral_block([1.0], v, w),

@@ -5,7 +5,7 @@ from conftest import mittag_leffler, mode_kernels
 from dodiff import kernel, solver
 from dodiff import make_box_weight
 from dodiff.errors import DomainError, NumericError, PreconditionError
-from dodiff.kernel import eval_kernel_block, eval_response_block
+from dodiff.kernel import eval_kernel_block, eval_kernels
 from dodiff.solver import (
     DUHAMEL_NODES,
     ProblemSpec,
@@ -145,7 +145,7 @@ class TestDuhamel:
         g = (-1.0) ** np.arange(32) / np.arange(1.0, 33.0)
         prob = ProblemSpec(box_half, basis_pi, np.zeros(32), lambda t: t * g, 2.0)
         for t in (1e-3, 1.0):
-            _, K2 = eval_response_block([t], basis_pi.eigenvalues, box_half)
+            (K2,) = eval_kernels([t], basis_pi.eigenvalues, box_half, ("K2",))
             for panels in (16, 4096):
                 got = duhamel(prob, [t], n_nodes=panels)[0]
                 assert np.max(np.abs(got / (K2[0] * g) - 1.0)) <= 1e-9
@@ -165,22 +165,22 @@ class TestResponseBlock:
 
     @staticmethod
     def hold_contour(monkeypatch, sigma_min, sigma_max, lambda1, w):
-        """Evaluate every response block on one contour admissible for all
-        sigma in [sigma_min, sigma_max], so a K value does not depend on
-        which other sigma share its block."""
+        """Evaluate every K block of the solver on one contour admissible
+        for all sigma in [sigma_min, sigma_max], so a K value does not depend
+        on which other sigma share its block."""
         spec = kernel.shared_contour([sigma_min, sigma_max], lambda1, w)
 
-        def fixed(times, lambdas, w, cfg=None):
-            return kernel._contour_block(times, lambdas, w, cfg, spec, response=True)
+        def fixed(times, lambdas, w, kernels, cfg=None):
+            return kernel.eval_kernels(times, lambdas, w, kernels, cfg, spec)
 
-        monkeypatch.setattr(solver, "eval_response_block", fixed)
+        monkeypatch.setattr(solver, "eval_kernels", fixed)
 
     @staticmethod
     def unpruned(problem, t, n_nodes):
         """The product rule over every panel of the mesh, dead or not."""
         sigma, h = duhamel_mesh(t, n_nodes)
-        K1, K2 = solver.eval_response_block(sigma[1:], problem.basis.eigenvalues,
-                                            problem.weight)
+        K1, K2 = solver.eval_kernels(sigma[1:], problem.basis.eigenvalues,
+                                     problem.weight, ("K1", "K2"))
         f = np.array([problem.source(t - s) for s in sigma])
         dK2 = np.diff(K2, axis=0, prepend=0.0) / h[:, None]
         return K1[-1] * f[-1] + np.einsum("jn,jn->n", dK2, f[:-1] - f[1:])
@@ -231,26 +231,31 @@ class TestResponseBlock:
         assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
     def test_one_block_per_mesh(self, box_half, basis16, monkeypatch):
-        sigmas = []
+        # each call names the one kernel that duhamel reads from it
+        sigmas, names = [], []
 
-        def record(times, *args, **kwargs):
+        def record(times, lambdas, w, kernels, **kwargs):
             sigmas.append(np.array(times))
-            return eval_response_block(times, *args, **kwargs)
+            names.append(kernels)
+            return eval_kernels(times, lambdas, w, kernels, **kwargs)
 
-        monkeypatch.setattr(solver, "eval_response_block", record)
+        monkeypatch.setattr(solver, "eval_kernels", record)
         times = np.linspace(1.0 / 16.0, 1.0, 16)
         basis = build_exact_dirichlet(np.pi, 1000)
         g = np.ones(1000)
         duhamel(ProblemSpec(box_half, basis, np.zeros(1000), lambda t: g, 1.0),
                 times)
         assert len(sigmas) == 1 and np.array_equal(sigmas[0], times)
+        assert names == [("K1",)]
 
         # a source that changes on every panel: K_2 at every edge but 0
         sigmas.clear()
+        names.clear()
         src = self.sources(16)["cos"]
         duhamel(ProblemSpec(box_half, basis16, np.zeros(16), src, 1.0), times)
         assert np.array_equal(sigmas[0], times)
         assert [len(s) for s in sigmas[1:]] == [DUHAMEL_NODES] * len(times)
+        assert names == [("K1",)] + [("K2",)] * len(times)
 
 
 class TestSolve:

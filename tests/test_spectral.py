@@ -82,10 +82,19 @@ class TestFiniteDifference:
                                  c_a=1.0, length=np.pi)
 
     def test_negative_potential_rejected(self):
-        with pytest.raises(PreconditionError, match="potential"):
+        with pytest.raises(PreconditionError,
+                           match=r"potential .*: q\(0\.0\) = -1\.0 < 0"):
             EllipticCoefficients(a=lambda x: np.ones_like(x),
                                  q=lambda x: -np.ones_like(x),
                                  c_a=1.0, length=np.pi)
+
+    def test_floor_from_the_checked_sample(self):
+        coeffs = EllipticCoefficients(a=lambda x: 2.0 - np.sin(x),
+                                      q=lambda x: np.zeros_like(x), length=np.pi)
+        assert coeffs.c_a == 1.0
+        with pytest.raises(PreconditionError, match=r"a\(0\.0\) = 0\.0"):
+            EllipticCoefficients(a=lambda x: x, q=lambda x: np.zeros_like(x),
+                                 length=np.pi)
 
     def test_mode_count_guard(self):
         with pytest.raises(DomainError):

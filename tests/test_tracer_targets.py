@@ -102,6 +102,38 @@ def test_source_response_spans(tmp_path):
     assert "kernel.eval_kernel_block" in names.values()
 
 
+PROBLEM = "[operator]\nN = 8\n\n[problem]\nu0 = modes: 1\nT = 1.0\n"
+# (arguments besides --config and --out, the document or None)
+SUBCOMMANDS = {
+    "kernel": (["kernel"], PROBLEM),
+    "solve": (["solve"], PROBLEM),
+    "solve-sourced": (["solve"], PROBLEM + "source = modes: 0.5\n"),
+    "oracle": (["oracle"], PROBLEM + "times = 0.5 1.0\n\n[numerics]\ndt = 0.05\n"),
+    "verify-decay": (["verify", "--suite", "decay"], None),
+    "verify-h2": (["verify", "--suite", "h2"], None),
+}
+
+
+@pytest.mark.parametrize("case", list(SUBCOMMANDS))
+def test_subcommand_runs_traced(case, tmp_path):
+    # every traced layer and its counter hook (such as the (E, G) pair that
+    # kernel.block_cells unpacks) must run clean under the tracer
+    args, doc = SUBCOMMANDS[case]
+    args = [*args, "--out", str(tmp_path / "out")]
+    if doc is not None:
+        (tmp_path / "doc.ini").write_text(doc)
+        args += ["--config", str(tmp_path / "doc.ini")]
+    tr = load_tracer().Tracer()
+    tr.install()
+    try:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            status = cli.main(args)
+    finally:
+        tr.uninstall()
+    assert status == 0, err.getvalue()
+    assert tr.spans
+
+
 # loose ceilings: far above the values the probes give, far below a break
 PROBE_CEILINGS = {"source": 1e-6, "kernel": 1e-6, "oracle": 0.02}
 
