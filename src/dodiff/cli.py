@@ -55,7 +55,7 @@ _SCHEMA = {
     "numerics.duhamel_nodes": (int, sv.DUHAMEL_NODES, textio.Interval(16, 65536)),
     "numerics.seed": (int, vf.DEFAULT_SEED, textio.Interval(0, math.inf, "[)")),
     "numerics.theta": (float, kn.KernelConfig.theta,
-                       textio.Interval(math.pi / 2, math.pi, "()")),
+                       textio.Interval(*kn.THETA_RANGE, "[)")),
     "numerics.dt": (float, 1e-3, _POSITIVE),
     "numerics.steps": (int, None, textio.Interval(1, 10_000_000)),
     "numerics.alpha_nodes": (int, oc.OracleConfig.alpha_nodes, textio.Interval(2, 512)),

@@ -9,7 +9,7 @@ two inverse-Laplace kernels,
 which generalize the constant-order pair E_a(-lambda t^a) and
 t^(a-1) E_{a,a}(-lambda t^a); the Mittag-Leffler evaluator for that limit
 is a test reference and lives with the tests.  The contour gamma(eps, theta)
-consists of two rays at angles +-theta in (pi/2, pi) joined by an arc of
+consists of two rays at angles +-theta in [2 pi/3, pi) joined by an arc of
 radius eps; the kernels are independent of any admissible (eps, theta),
 which the tests exploit as an internal consistency check.
 
@@ -42,9 +42,10 @@ each is pi G^_n(0) lambda_n = pi up to the grid's cut at log r = -1000.
 Only the upper ray and upper half-arc are quadratured; the lower half is
 their complex conjugate, which halves the cost and forces a real result.
 
-Kernels are evaluated as (times x modes) blocks from eigenvalue vectors;
-the entry points taking a 1-based mode index are ``eval_Gn_spectral``,
-``an_threshold`` and ``check_g0c``, which reject an index outside the basis.
+Kernels and tail-bound products are evaluated from eigenvalue vectors; the
+entry points taking 1-based mode indices of a basis are ``eval_Gn_spectral``,
+``an_threshold``, ``check_g0c`` and ``build_kernel_table``, which reject an
+index outside the basis.
 
 Everything here is pure; kernel tables are immutable once built and safe to
 fill from concurrent workers.
@@ -60,7 +61,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, PreconditionError
 from .spectral import SpectralBasis
-from .weight import WeightFunction, monotone_root, zeta_inv
+from .weight import WeightFunction, monotone_root
 
 _LN10 = math.log(10.0)
 
@@ -71,6 +72,10 @@ _PANEL_ORDER = 16
 # 10^-_TAIL_DECADES; the arc takes one Gauss-Legendre rule
 _PANEL_RATIO = 2.0
 _ARC_COUNT = 24
+# the angles theta in [lo, hi) whose ray oscillation these panels resolve:
+# kernels stay within 1.1e-9 of theta = 3 pi/4 (t from 1e-6 to 1e4, lambda
+# up to 64^2), but are 1.9e-7 off at 0.62 pi, 6e-5 at 0.59 pi, 21% at 0.56 pi
+THETA_RANGE = (2.0 * np.pi / 3.0, np.pi)
 _TAIL_DECADES = 16.0
 # times per exponential block and entries per (modes x nodes) coefficient
 # slice, bounding the working set of a kernel block: t = 1e-300 puts about
@@ -103,14 +108,14 @@ def gauss_on_edges(edges, order: int):
 @dataclass(frozen=True)
 class KernelConfig:
     """The kernel setting a caller chooses: the contour angle ``theta`` in
-    (pi/2, pi).  Kernel values do not depend on it; everything else about
-    the contour follows from the weight, the eigenvalues and the times."""
+    ``THETA_RANGE``.  Kernel values do not depend on it; everything else
+    about the contour follows from the times."""
 
     theta: float = 3.0 * np.pi / 4.0
 
     def __post_init__(self):
-        if not (np.pi / 2.0 < self.theta < np.pi):
-            raise PreconditionError(f"theta = {self.theta} outside (pi/2, pi)")
+        if not THETA_RANGE[0] <= self.theta < THETA_RANGE[1]:
+            raise PreconditionError(f"theta = {self.theta} outside [2 pi/3, pi)")
 
 
 _DEFAULT_CONFIG = KernelConfig()
@@ -141,8 +146,7 @@ class ContourSpec:
     ray_cutoff: float
 
     def __post_init__(self):
-        if not (np.pi / 2.0 < self.theta < np.pi):
-            raise PreconditionError(f"theta = {self.theta} outside (pi/2, pi)")
+        KernelConfig(self.theta)  # checks the angle
         if not (0.0 < self.epsilon <= self.ray_cutoff):
             raise PreconditionError("need 0 < epsilon <= ray cutoff")
         if self.t <= 0.0:
@@ -177,34 +181,28 @@ class ContourSpec:
         return 0.5 * self.theta * (x + 1.0), 0.5 * self.theta * wq
 
 
-def shared_contour(times, lambda1: float, w: WeightFunction,
-                   cfg: KernelConfig | None = None) -> ContourSpec:
+def shared_contour(times, cfg: KernelConfig | None = None) -> ContourSpec:
     """One contour admissible for every time in ``times``, and the only
-    radius and cutoff rule: eps = min(1/t_max, max(eps0, 1/4)) with the proof
-    radius eps0 = (1/2) min(1, eta*lambda_1, zeta_inv(eta*lambda_1)),
-    eta = 1/(2 sup|mu|); the cutoff meets the truncation certificate at t_min.
-    Kernel values are contour-independent, so sharing is exact.
+    radius and cutoff rule: eps = min(1/t_max, 1/4), and the cutoff meets
+    the truncation certificate at t_min.  Kernel values are
+    contour-independent, so sharing is exact.
 
-    The radius is floored at 1/4: the resolvent symbol has no zeros off the
-    cut (its modulus stays above C_beta * lambda everywhere), so larger arcs
-    are equally valid and avoid the long geometric ray grading that the
-    worst-case proof radius would force for weights with large sup-norm.
+    Any radius is admissible: the resolvent symbol s w(s) + lambda has no
+    zeros off the cut (its modulus stays above C_beta * lambda everywhere),
+    so nothing about the weight or the eigenvalues enters.  1/t_max keeps
+    e^(st) of order one on the arc; below t_max = 4 the radius stays at 1/4.
     """
     times = _positive(times, "times", "t")
     theta = (cfg or _DEFAULT_CONFIG).theta
-    eta = 1.0 / (2.0 * w.sup_norm)
-    y = eta * lambda1
-    eps0 = 0.5 * min(1.0, y, zeta_inv(y))
-    epsilon = min(1.0 / float(times.max()), max(eps0, 0.25))
+    epsilon = min(1.0 / float(times.max()), 0.25)
     cutoff = _TAIL_DECADES * _LN10 / (float(times.min()) * abs(math.cos(theta)))
     return ContourSpec(epsilon=epsilon, theta=theta, t=float(times.min()),
                        ray_cutoff=cutoff)
 
 
-def choose_contour(t: float, lambda1: float, w: WeightFunction,
-                   cfg: KernelConfig | None = None) -> ContourSpec:
+def choose_contour(t: float, cfg: KernelConfig | None = None) -> ContourSpec:
     """The shared contour of the single time t."""
-    return shared_contour([t], lambda1, w, cfg)
+    return shared_contour([t], cfg)
 
 
 def eval_kernel_row(t: float, lambdas, w: WeightFunction,
@@ -268,7 +266,7 @@ def eval_kernels(times, lambdas, w: WeightFunction, kernels,
             lo = hi
         return tuple(out)
     if spec is None:
-        spec = shared_contour(times, float(lambdas.min()), w, cfg)
+        spec = shared_contour(times, cfg)
 
     # upper ray, then upper half-arc; ds = e^(i theta) dr on the ray and
     # i s dbeta on the arc, absorbed into the node weights
@@ -368,7 +366,7 @@ def an_threshold(n: int, basis: SpectralBasis, w: WeightFunction) -> float:
 
     The moment map is strictly increasing, so the root is unique; solved by
     a bracketed root in u = log a with residual certified below
-    1e-10 * lambda_n.
+    1e-10 * lambda_n: the reference for ``_log_threshold_bound``.
     """
     lam = _mode_lambda(basis, n)
     target = lam / 2.0
@@ -385,30 +383,37 @@ def an_threshold(n: int, basis: SpectralBasis, w: WeightFunction) -> float:
     return a
 
 
-def tail_bound_products(modes, basis: SpectralBasis,
-                        w: WeightFunction) -> np.ndarray:
-    """The products lambda_n * int_0^inf Phi_n(r)/r dr for 1-based modes.
+def _log_threshold_bound(lam: float, w: WeightFunction) -> float:
+    """max(0, log(lam / (mu(alpha0) delta)) / (alpha0 - delta)) >= log a for
+    a of ``an_threshold``, where int_0^1 a^alpha mu = lam / 2: for a >= 1 the
+    window gives that integral at least (mu(alpha0)/2) delta a^(alpha0 - delta)."""
+    return max(0.0, math.log(lam / (w.mu_at_alpha0 * w.delta))
+               / (w.alpha0 - w.delta))
+
+
+def tail_bound_products(lambdas, w: WeightFunction) -> np.ndarray:
+    """The products lambda_n * int_0^inf Phi_n(r)/r dr for eigenvalues lambda_n.
 
     Their boundedness in n is the testable content of the spectral-density
     tail bound; it requires the upper support cutoff alpha1.  All modes share
-    one ``_log_grid`` from max(log a, 0) + 300, with a the threshold radius of
-    the largest eigenvalue asked for.  The integral is pi G^_n(0) = pi/lambda_n,
-    so each product is pi but for the cut at -1000, a known shortfall of at
-    most mu(0)/(1000 lambda_n): the integrand decays like mu(0)/(lambda_n u^2).
+    one ``_log_grid`` from ``_log_threshold_bound`` of the largest eigenvalue
+    plus 300, capped at 700 so that e^u stays finite: a narrow window can put
+    the bound far above log a, and the cap still clears log a + 300 for any
+    log a <= 400.  The integral is pi G^_n(0) = pi/lambda_n, so each product is
+    pi but for the cut at -1000, a known shortfall of at most
+    mu(0)/(1000 lambda_n): the integrand decays like mu(0)/(lambda_n u^2).
     """
     if w.alpha1 is None:
         raise PreconditionError(
             "tail-bound check requires a weight with upper support cutoff alpha1")
-    modes = _positive(modes, "modes", "n").astype(int)
-    lams = np.array([_mode_lambda(basis, int(n)) for n in modes])
-    top = int(modes[np.argmax(lams)])
-    u, wu = _log_grid(max(math.log(an_threshold(top, basis, w)), 0.0) + 300.0)
+    lams = _positive(lambdas, "lambdas", "lambda")
+    u, wu = _log_grid(min(_log_threshold_bound(float(lams.max()), w) + 300.0, 700.0))
     return lams * (_phi_on_cut(lams, u, w) @ wu)
 
 
 def check_g0c(n: int, basis: SpectralBasis, w: WeightFunction) -> float:
     """The tail-bound product lambda_n * int_0^inf Phi_n(r)/r dr of mode n."""
-    return float(tail_bound_products([n], basis, w)[0])
+    return float(tail_bound_products([_mode_lambda(basis, n)], w)[0])
 
 
 # --- sampled kernel tables -----------------------------------------------------

@@ -141,8 +141,11 @@ def duhamel(problem: ProblemSpec, times, n_nodes: int = DUHAMEL_NODES,
     for row, t in enumerate(times):
         edges, h = duhamel_mesh(float(t), n_nodes=n_nodes)
         f = np.array([np.asarray(problem.source(t - s), dtype=float) for s in edges])
-        if not np.all(np.isfinite(f)):
-            raise NumericError("source evaluation produced non-finite values")
+        bad = np.argwhere(~np.isfinite(f))
+        if bad.size:
+            j, n = bad[0]
+            raise NumericError(f"source at tau = {float(t - edges[j])!r} is "
+                               f"{float(f[j, n])!r} in mode {n + 1}")
         out[row] *= f[-1]
         df = f[:-1] - f[1:]
         live = np.flatnonzero(np.any(df != 0.0, axis=1))

@@ -60,35 +60,20 @@ class EllipticCoefficients:
 class SpectralBasis:
     """Lowest-N eigenpairs on a uniform grid.
 
-    ``eigenvalues`` are non-decreasing and bounded below by the ellipticity
-    floor; ``eigenvectors`` has shape (N, M) with boundary zeros and rows
-    orthonormal in the grid inner product.
+    ``eigenvalues`` are non-decreasing; ``eigenvectors`` has shape (N, M)
+    with boundary zeros and rows orthonormal in the grid inner product, which
+    each builder guarantees where it can fail (see ``build_fd``).
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     grid: np.ndarray
-    floor: float
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        vec = np.asarray(self.eigenvectors, dtype=float)
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "eigenvectors", vec)
-        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
-        if np.any(np.diff(lam) < -1e-12):
+        for name in ("eigenvalues", "eigenvectors", "grid"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if np.any(np.diff(self.eigenvalues) < -1e-12):
             raise PreconditionError("eigenvalues must be non-decreasing")
-        # discrete eigenvalues may undershoot the continuous floor by the
-        # O(h^2) consistency error of the scheme
-        span = self.grid[-1] - self.grid[0]
-        h2_slack = (np.pi * self.spacing / span) ** 2 / 3.0 * self.floor
-        if lam[0] < self.floor - h2_slack - 1e-9 * max(1.0, self.floor):
-            raise PreconditionError(
-                f"spectral floor violated: lambda_1 = {lam[0]} < c_a = {self.floor}")
-        gram = self.gram()
-        err = np.max(np.abs(gram - np.eye(len(lam))))
-        if err > ORTHONORMALITY_TOL:
-            raise PreconditionError(f"orthonormality defect {err:.2e} above tolerance")
 
     @property
     def n_modes(self) -> int:
@@ -103,16 +88,11 @@ class SpectralBasis:
         wts[0] = wts[-1] = 0.5 * self.spacing
         return wts
 
-    def gram(self) -> np.ndarray:
-        # s @ s.T is one symmetric rank-k update (syrk): half the multiplies
-        # of a general product
-        s = self.eigenvectors * np.sqrt(self.inner_weights())
-        return s @ s.T
-
 
 def build_exact_dirichlet(L: float, N: int, grid_points: int = 1025) -> SpectralBasis:
     """Closed-form sine eigenpairs of -d2/dx2 on (0, L) with Dirichlet ends:
-    lambda_n = (n pi / L)^2, phi_n = sqrt(2/L) sin(n pi x / L)."""
+    lambda_n = (n pi / L)^2, phi_n = sqrt(2/L) sin(n pi x / L), orthonormal
+    on any grid of N + 2 points or more (the discrete sine transform is)."""
     if L <= 0.0:
         raise DomainError(f"interval length {L} must be positive")
     if N < 1:
@@ -125,8 +105,7 @@ def build_exact_dirichlet(L: float, N: int, grid_points: int = 1025) -> Spectral
     lam = (n * np.pi / L) ** 2
     vec = np.sqrt(2.0 / L) * np.sin(np.outer(n, x) * np.pi / L)
     vec[:, 0] = vec[:, -1] = 0.0
-    return SpectralBasis(eigenvalues=lam, eigenvectors=vec, grid=x,
-                         floor=lam[0])
+    return SpectralBasis(eigenvalues=lam, eigenvectors=vec, grid=x)
 
 
 def assemble_tridiagonal(coeffs: EllipticCoefficients, M: int):
@@ -149,7 +128,9 @@ def assemble_tridiagonal(coeffs: EllipticCoefficients, M: int):
 
 
 def build_fd(coeffs: EllipticCoefficients, M: int, N: int) -> SpectralBasis:
-    """Lowest-N eigenpairs of the finite-difference operator on M grid points."""
+    """Lowest-N eigenpairs of the finite-difference operator on M grid points,
+    with the eigensolver's output checked: orthonormal vectors, and lambda_1
+    above the Rayleigh floor c_a (pi/L)^2 less the scheme's O(h^2) error."""
     from scipy.linalg import eigh_tridiagonal  # imported here: slow to import
     if M < N + 2:
         raise DomainError(f"M = {M} too small for N = {N} modes")
@@ -158,15 +139,24 @@ def build_fd(coeffs: EllipticCoefficients, M: int, N: int) -> SpectralBasis:
         lam, vec = eigh_tridiagonal(diag, off, select="i", select_range=(0, N - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy rarely fails here
         raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
+    # the grid inner product of the interior values vec / sqrt(h) is vec.T vec
+    err = np.max(np.abs(vec.T @ vec - np.eye(N)))
+    if not err <= ORTHONORMALITY_TOL:
+        raise NumericError(f"eigensolver output: orthonormality defect {err:.2e} "
+                           f"above {ORTHONORMALITY_TOL:.0e}")
     h = x[1] - x[0]
+    floor = coeffs.c_a * (np.pi / coeffs.length) ** 2
+    slack = (np.pi * h / coeffs.length) ** 2 / 3.0 * floor + 1e-9 * max(1.0, floor)
+    if not lam[0] >= floor - slack:
+        raise NumericError(f"eigensolver output: lambda_1 = {lam[0]} below the "
+                           f"floor c_a (pi/L)^2 = {floor} less {slack:.2e}")
     full = np.zeros((N, M))
     full[:, 1:-1] = (vec / np.sqrt(h)).T
     # fix sign convention: positive slope at the left end
     signs = np.sign(full[:, 1])
     signs[signs == 0] = 1.0
     full *= signs[:, None]
-    return SpectralBasis(eigenvalues=lam, eigenvectors=full, grid=x,
-                         floor=coeffs.c_a)
+    return SpectralBasis(eigenvalues=lam, eigenvectors=full, grid=x)
 
 
 def project(basis: SpectralBasis, values: np.ndarray) -> np.ndarray:

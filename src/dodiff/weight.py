@@ -18,8 +18,8 @@ The envelope
     zeta(r) = (r - 1)/log r     (continuous, = 1 at r = 1, increasing)
 
 bounds |s w(s)| <= sup|mu| * zeta(|s|), and so |w(s)| <= sup|mu| * zeta(|s|)/|s|.
-zeta is strictly monotone, so it has an inverse; the kernel module uses
-zeta_inv to pick admissible contour radii.
+zeta is strictly monotone, so it has an inverse, ``zeta_inv``; the contour
+needs none, since any radius is admissible.
 
 The symbol is exact per polynomial piece p on [a, b], h = b - a:
 

@@ -68,9 +68,9 @@ def test_01_cross_method_kernel_agreement(basis64, mu_const):
 
 def test_02_contour_independence(basis64, mu_const):
     t0 = time.time()
-    spec1 = choose_contour(1.0, 1.0, mu_const)
+    spec1 = choose_contour(1.0)
     cfg2 = KernelConfig(theta=2 * np.pi / 3)
-    alt = choose_contour(1.0, 1.0, mu_const, cfg2)
+    alt = choose_contour(1.0, cfg2)
     spec2 = ContourSpec(epsilon=alt.epsilon / 2.0, theta=alt.theta, t=alt.t,
                         ray_cutoff=alt.ray_cutoff)
     worst = 0.0

@@ -245,6 +245,15 @@ class TestConfigErrors:
         with pytest.raises(PreconditionError, match=f"unknown config key {section}.{key}"):
             cli.parse_config(doc)
 
+    def test_unresolved_theta_named(self, tmp_path, capsys):
+        # below 2 pi/3 the contour's fixed panels do not resolve its rays
+        rc, out = TestDispatch().run(tmp_path, "solve",
+                                     extra=["--set", f"numerics.theta={0.55 * math.pi!r}"])
+        err = capsys.readouterr().err
+        assert rc == 1 and not out.exists()
+        assert f"numerics.theta = '{0.55 * math.pi!r}' outside [2.09439510239, " \
+               "3.14159265359)" in err
+
     @pytest.mark.parametrize("kind", ["kind = dirichlet\n", ""],
                              ids=["explicit", "default"])
     @pytest.mark.parametrize("key", ["a", "q"])
@@ -488,6 +497,44 @@ class TestDispatch:
                     rows = [ln.split(",") for ln in csv.read_text().splitlines()
                             if not ln.startswith("#")][1:]
                     assert rows and np.all(np.isfinite(np.array(rows, dtype=float))), csv
+
+    @pytest.mark.parametrize("name", ["box", "constant", "tapered_fd"])
+    def test_any_interval_and_narrow_box_run(self, tmp_path, name):
+        # the contour radius comes from the times alone, and the fd floor is
+        # c_a (pi/L)^2, so neither the length nor the box width can fail.
+        # At L = 0.1 the contour's absolute error shows in rel_diff (about
+        # 1e-10), so only L >= pi is held to 1e-12.
+        config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini"
+        config = config.read_text()
+        cases = [f"operator.l={length}" for length in (0.1, 31.4159, 1000)]
+        cases += ["weight.h=0.001"] if name == "box" else []
+        runs = [("kernel", []), ("solve", ["--set", "problem.source=none"]),
+                ("solve", ["--set", "problem.source=modes: 1 -0.5"]), ("oracle", [])]
+        for k, case in enumerate(cases):
+            for j, (sub, extra) in enumerate(runs):
+                run_dir = tmp_path / f"{k}-{j}"
+                run_dir.mkdir()
+                rc, out = self.run(run_dir, sub, config=config,
+                                   extra=["--set", case, *extra])
+                assert rc == 0, (case, sub)
+                for csv in out.glob("*.csv"):
+                    rows = np.array([ln.split(",") for ln in csv.read_text().splitlines()
+                                     if not ln.startswith("#")][1:], dtype=float)
+                    assert rows.size and np.all(np.isfinite(rows)), (case, csv)
+                    if sub == "kernel" and case != "operator.l=0.1":
+                        assert rows[:, -1].max() <= 1e-12, case
+
+    def test_fd_floor_follows_the_length(self, tmp_path):
+        # -u'' on (0, 2 pi) has lambda_1 = 1/4, below c_a = 1 but at the
+        # Rayleigh floor c_a (pi/L)^2 to within the scheme's O(h^2) error
+        doc = MINIMAL + ("\n[operator]\nkind = fd\na = 1\nq = 0\nL = 6.283185307179586\n"
+                         "m = 401\nn = 8\n\n[numerics]\ndt = 0.01\n")
+        lam1 = cli.parse_config(doc).basis.eigenvalues[0]
+        assert abs(lam1 - 0.25) <= 0.25 * (np.pi / 400) ** 2
+        for sub in ("solve", "oracle"):
+            (tmp_path / sub).mkdir()
+            rc, _ = self.run(tmp_path / sub, sub, config=doc)
+            assert rc == 0, sub
 
     @pytest.mark.parametrize("override", ["numerics.dt=3e-3", "numerics.steps=500"])
     def test_oracle_off_grid_time_fails_before_stepping(self, tmp_path, capsys,

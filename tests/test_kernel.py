@@ -13,12 +13,13 @@ from conftest import (
     mode_kernels,
 )
 from dodiff import kernel as kn
-from dodiff import make_box_weight
+from dodiff import make_box_weight, make_tapered_weight
 from dodiff.errors import DomainError, NumericError, PreconditionError
 from dodiff.kernel import (
     ContourSpec,
     KernelConfig,
     KernelTable,
+    _log_threshold_bound,
     _phi_on_cut,
     an_threshold,
     build_kernel_table,
@@ -33,7 +34,7 @@ from dodiff.kernel import (
     tail_bound_products,
 )
 from dodiff.spectral import build_exact_dirichlet
-from dodiff.weight import zeta_env, zeta_inv
+from dodiff.weight import zeta_env
 
 
 def quarter_log_grid(top, low=0.0, high=16.0, order=16):
@@ -77,43 +78,49 @@ def basis64():
 
 
 class TestChooseContour:
-    def test_radius_rule_moderate_t(self, const_weight):
-        # one rule: eps = min(1/t, max(eps0, 1/4)); at lambda_1 = 1 the proof
-        # radius eps0 = zeta_inv(1/2)/2 is below the floor
-        assert 0.5 * zeta_inv(0.5) < 0.25
-        assert choose_contour(1.0, 1.0, const_weight).epsilon == 0.25
-        # lambda_1 = 1.8 puts eta*lambda_1 = 0.9 where eps0 = zeta_inv(0.9)/2
-        # clears the floor and binds below 1/t
-        eps0 = 0.5 * min(1.0, 0.9, zeta_inv(0.9))
-        assert 0.25 < eps0 < 1.0
-        assert choose_contour(1.0, 1.8, const_weight).epsilon == pytest.approx(
-            eps0, rel=1e-12)
-        assert zeta_env(zeta_inv(0.9)) == pytest.approx(0.9, rel=1e-10)
+    def test_radius_rule_moderate_t(self):
+        # one rule: eps = min(1/t_max, 1/4), from the times alone
+        for t in (1e-3, 1.0, 3.0, 4.0):
+            assert choose_contour(t).epsilon == 0.25
+        assert choose_contour(8.0).epsilon == 0.125
         for t in (1e-3, 1.0, 3.0, 1e2):
-            for lam1 in (1.0, 1.8, 50.0):
-                assert choose_contour(t, lam1, const_weight) == shared_contour(
-                    [t], lam1, const_weight)
+            assert choose_contour(t) == shared_contour([t])
+        # a shared contour takes its radius from the latest time and its
+        # cutoff from the earliest
+        spec = shared_contour([0.01, 16.0, 2.0])
+        assert spec.epsilon == 1.0 / 16.0 and spec.t == 0.01
 
-    def test_radius_rule_large_t(self, const_weight):
-        spec = choose_contour(100.0, 1.0, const_weight)
+    def test_radius_rule_large_t(self):
+        spec = choose_contour(100.0)
         assert spec.epsilon == pytest.approx(0.01)
 
-    def test_default_angle(self, const_weight):
+    def test_default_angle(self):
         for t in (0.01, 1.0, 50.0):
-            assert choose_contour(t, 1.0, const_weight).theta == 3 * np.pi / 4
+            assert choose_contour(t).theta == 3 * np.pi / 4
 
-    def test_truncation_certificate(self, const_weight):
-        spec = choose_contour(0.3, 1.0, const_weight)
+    def test_truncation_certificate(self):
+        spec = choose_contour(0.3)
         assert np.exp(spec.ray_cutoff * spec.t * np.cos(spec.theta)) <= 1e-16
         with pytest.raises(NumericError, match="truncation"):
             ContourSpec(epsilon=0.1, theta=spec.theta, t=0.3,
                         ray_cutoff=0.1 * spec.ray_cutoff)
 
-    def test_domain(self, const_weight):
+    def test_domain(self):
         with pytest.raises(DomainError):
-            choose_contour(0.0, 1.0, const_weight)
+            choose_contour(0.0)
         with pytest.raises(PreconditionError):
             ContourSpec(epsilon=0.1, theta=np.pi / 3, t=1.0, ray_cutoff=100.0)
+
+    @pytest.mark.parametrize("theta", [0.55 * np.pi, math.nextafter(2 * np.pi / 3, 0.0),
+                                       np.pi])
+    def test_unresolved_angles_rejected(self, theta):
+        # below 2 pi/3 the fixed ray panels do not resolve e^(st): kernels
+        # there are 6e-5 off at 0.59 pi and 21% at 0.56 pi
+        with pytest.raises(PreconditionError, match=r"outside \[2 pi/3, pi\)"):
+            KernelConfig(theta=theta)
+        with pytest.raises(PreconditionError, match=r"outside \[2 pi/3, pi\)"):
+            ContourSpec(epsilon=0.1, theta=theta, t=1.0, ray_cutoff=1e3)
+        assert KernelConfig(theta=2 * np.pi / 3).theta == 2 * np.pi / 3
 
 
 class TestContourKernels:
@@ -140,8 +147,8 @@ class TestContourKernels:
         lams = basis64.eigenvalues
         for w in (const_weight, box_half, tapered):
             for t in (1e-3, 1.0, 1e2, 1e4):
-                spec1 = choose_contour(t, lams[0], w)
-                alt = choose_contour(t, lams[0], w, KernelConfig(theta=2 * np.pi / 3))
+                spec1 = choose_contour(t)
+                alt = choose_contour(t, KernelConfig(theta=2 * np.pi / 3))
                 spec2 = ContourSpec(epsilon=alt.epsilon / 2, theta=alt.theta,
                                     t=alt.t, ray_cutoff=alt.ray_cutoff)
                 E1, G1 = eval_kernel_row(t, lams, w, spec=spec1)
@@ -217,8 +224,8 @@ class TestContourKernels:
                            match=re.escape(f"kernels = {kernels!r} must name")):
             eval_kernels([1.0], [1.0], const_weight, kernels)
 
-    def test_shared_contour_spans(self, const_weight):
-        spec = shared_contour([0.01, 1.0], 1.0, const_weight)
+    def test_shared_contour_spans(self):
+        spec = shared_contour([0.01, 1.0])
         assert spec.epsilon <= 1.0
         assert np.exp(spec.ray_cutoff * 0.01 * np.cos(spec.theta)) <= 1e-16
 
@@ -404,31 +411,34 @@ class TestTailBound:
         assert max(prods) / min(prods) < 10.0
 
     @staticmethod
-    def refined_products(modes, basis, w):
+    def refined_products(lams, w):
         """lambda_n int Phi_n du on panels a quarter as wide as the
-        family's, over the same window."""
-        lams = basis.eigenvalues[np.asarray(modes) - 1]
-        top = max(math.log(an_threshold(max(modes), basis, w)), 0.0) + 300.0
-        u, wu = quarter_log_grid(top)
+        family's, from the threshold radius of the root, not of the bound."""
+        lam = float(np.max(lams))
+        a = an_threshold(1, build_exact_dirichlet(np.pi / math.sqrt(lam), 1,
+                                                  grid_points=3), w)
+        u, wu = quarter_log_grid(max(math.log(a), 0.0) + 300.0)
         return lams * (phi_rows(lams, u, w) @ wu)
 
     @pytest.fixture(scope="class")
-    def families(self, basis64):
-        wide = build_exact_dirichlet(np.pi, 1024, grid_points=1026)
-        return ((basis64, list(range(1, 65))), (wide, [1, 8, 64, 512, 1024]))
+    def families(self):
+        return (np.arange(1.0, 65.0) ** 2, np.array([1.0, 8, 64, 512, 1024]) ** 2)
 
     def test_family_against_refined_grid(self, families, tapered, box_half):
-        for w in (tapered, box_half):
-            for basis, modes in families:
-                got = tail_bound_products(modes, basis, w)
-                ref = self.refined_products(modes, basis, w)
+        # windows of width 0.49 and 0.74 below alpha0 put the closed top
+        # past the overflow of e^u, where the grid stops at 700
+        for w in (tapered, box_half, make_box_weight(0.5, 0.49),
+                  make_tapered_weight(delta=0.74)):
+            for lams in families:
+                got = tail_bound_products(lams, w)
+                ref = self.refined_products(lams, w)
                 assert np.all(np.abs(got - ref) <= 1e-14 * ref)
 
     def test_exact_value_without_mass_at_zero(self, families, box_half):
         # int_0^inf G_n = 1/lambda_n, so the product is pi when mu vanishes
         # near alpha = 0 and the far tail carries nothing
-        for basis, modes in families:
-            got = tail_bound_products(modes, basis, box_half)
+        for lams in families:
+            got = tail_bound_products(lams, box_half)
             assert np.all(np.abs(got / np.pi - 1.0) <= 1e-13)
 
     def test_cut_is_the_only_error(self, families, tapered):
@@ -436,26 +446,26 @@ class TestTailBound:
         # mu(0)/(lambda_n u^2), so the cut at u = -1000 drops at most
         # mu(0)/(1000 lambda_n) of pi
         mu0 = float(tapered.coeffs[0][0])
-        for basis, modes in families:
-            lams = basis.eigenvalues[np.asarray(modes) - 1]
-            short = 1.0 - tail_bound_products(modes, basis, tapered) / np.pi
+        for lams in families:
+            short = 1.0 - tail_bound_products(lams, tapered) / np.pi
             assert np.all(short >= 0.0)
             assert np.all(short <= mu0 / (1000.0 * lams) + 1e-13)
 
-    def test_one_threshold_per_call(self, monkeypatch, basis64, tapered):
-        calls = []
-        real = kn.an_threshold
-        monkeypatch.setattr(kn, "an_threshold",
-                            lambda n, basis, w: calls.append(n) or real(n, basis, w))
-        for modes in ([5], [64, 1, 8], range(1, 65)):
-            calls.clear()
-            tail_bound_products(modes, basis64, tapered)
-            assert calls == [max(modes)]
+    @pytest.mark.parametrize("weight", ["const_weight", "box_half", "tapered", "box_narrow"])
+    def test_closed_top_bounds_threshold(self, weight, request):
+        # the grid top comes from the window certificate in closed form; the
+        # root an_threshold is its reference
+        w = (make_box_weight(0.5, 0.001) if weight == "box_narrow"
+             else request.getfixturevalue(weight))
+        for k in (1, 2, 8, 64, 512, 4096):
+            basis = build_exact_dirichlet(np.pi / k, 1, grid_points=3)  # lambda_1 = k^2
+            bound = _log_threshold_bound(float(basis.eigenvalues[0]), w)
+            assert bound >= max(math.log(an_threshold(1, basis, w)), 0.0)
 
     def test_product_independent_of_grid_mates(self, basis64, tapered):
-        # a mode's product must not depend on which other modes' thresholds
+        # a mode's product must not depend on which other modes' eigenvalues
         # set the top of its grid
-        family = tail_bound_products(range(1, 65), basis64, tapered)
+        family = tail_bound_products(basis64.eigenvalues, tapered)
         for n in (1, 8, 64):
             assert check_g0c(n, basis64, tapered) == pytest.approx(
                 family[n - 1], rel=1e-14)
@@ -496,10 +506,10 @@ _CHECKED_INPUTS = {
     "eval_kernel_block-lambdas": lambda b, w, v: eval_kernel_block([1.0], v, w),
     "eval_kernels-times": lambda b, w, v: eval_kernels(v, [1.0], w, ("K1", "K2")),
     "eval_kernels-lambdas": lambda b, w, v: eval_kernels([1.0], v, w, ("K1", "K2")),
-    "shared_contour-times": lambda b, w, v: shared_contour(v, 1.0, w),
+    "shared_contour-times": lambda b, w, v: shared_contour(v),
     "eval_spectral_block-times": lambda b, w, v: eval_spectral_block(v, [1.0], w),
     "eval_spectral_block-lambdas": lambda b, w, v: eval_spectral_block([1.0], v, w),
-    "tail_bound_products-modes": lambda b, w, v: tail_bound_products(v, b, w),
+    "tail_bound_products-lambdas": lambda b, w, v: tail_bound_products(v, w),
     "build_kernel_table-times": lambda b, w, v: build_kernel_table(b, w, v),
     "build_kernel_table-modes": lambda b, w, v: build_kernel_table(b, w, [1.0], modes=v),
 }

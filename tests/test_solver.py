@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,23 @@ class TestDuhamel:
                 assert np.max(np.abs(got / (K2[0] * g) - 1.0)) <= 1e-9
 
 
+    def test_non_finite_source_names_tau_and_mode(self, basis16, box_half):
+        # finite at 0, T/2 and T, where ProblemSpec samples it; mode 3 is
+        # NaN on (0.3, 0.4), and the error names the first tau the mesh of
+        # the first output time meets
+        def source(tau):
+            f = np.ones(16)
+            f[2] = np.nan if 0.3 < tau < 0.4 else 1.0
+            return f
+
+        prob = ProblemSpec(box_half, basis16, np.zeros(16), source, 1.0)
+        tau = 0.5 - duhamel_mesh(0.5)[0]
+        first = float(tau[(0.3 < tau) & (tau < 0.4)][0])
+        with pytest.raises(NumericError, match=f"^source at tau = {re.escape(repr(first))}"
+                                               " is nan in mode 3$"):
+            duhamel(prob, [0.5, 1.0])
+
+
 class TestResponseBlock:
     """``duhamel`` over many output times: K_1 for all of them from one
     block, K_2 per time at the ends of its live panels only."""
@@ -164,11 +183,11 @@ class TestResponseBlock:
                 "cos": lambda t: np.cos(t) * g, "bump": narrow_bump(n_modes)}
 
     @staticmethod
-    def hold_contour(monkeypatch, sigma_min, sigma_max, lambda1, w):
+    def hold_contour(monkeypatch, sigma_min, sigma_max):
         """Evaluate every K block of the solver on one contour admissible
         for all sigma in [sigma_min, sigma_max], so a K value does not depend
         on which other sigma share its block."""
-        spec = kernel.shared_contour([sigma_min, sigma_max], lambda1, w)
+        spec = kernel.shared_contour([sigma_min, sigma_max])
 
         def fixed(times, lambdas, w, kernels, cfg=None):
             return kernel.eval_kernels(times, lambdas, w, kernels, cfg, spec)
@@ -193,8 +212,7 @@ class TestResponseBlock:
         # change of contour turns into ~1e-8 relative on the bump's narrow
         # panels
         n_nodes = 4096 if source == "bump" else 256
-        self.hold_contour(monkeypatch, self.TIMES[0] / n_nodes ** 2,
-                          self.TIMES[-1], basis16.eigenvalues[0], box_half)
+        self.hold_contour(monkeypatch, self.TIMES[0] / n_nodes ** 2, self.TIMES[-1])
         prob = ProblemSpec(box_half, basis16, np.zeros(16),
                            self.sources(16)[source], 100.0)
         rows = duhamel(prob, self.TIMES, n_nodes=n_nodes)
@@ -222,8 +240,7 @@ class TestResponseBlock:
     @pytest.mark.parametrize("t", [0.995, 1.0, 1.02])
     def test_dead_panels_add_nothing(self, t, basis16, box_half, monkeypatch):
         n_nodes = 4096
-        self.hold_contour(monkeypatch, t / n_nodes ** 2, t,
-                          basis16.eigenvalues[0], box_half)
+        self.hold_contour(monkeypatch, t / n_nodes ** 2, t)
         prob = ProblemSpec(box_half, basis16, np.zeros(16), narrow_bump(16), 2.0)
         got = duhamel(prob, [t], n_nodes=n_nodes)[0]
         ref = self.unpruned(prob, t, n_nodes)

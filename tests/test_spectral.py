@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import constant_coefficients
-from dodiff.errors import DomainError, PreconditionError
+from dodiff.errors import DomainError, NumericError, PreconditionError
 from dodiff.spectral import (
     EllipticCoefficients,
     build_exact_dirichlet,
@@ -11,6 +12,11 @@ from dodiff.spectral import (
     project,
     synthesize,
 )
+
+
+def gram(basis):
+    """The grid inner products of every pair of basis vectors."""
+    return (basis.eigenvectors * basis.inner_weights()) @ basis.eigenvectors.T
 
 
 class TestExactDirichlet:
@@ -24,8 +30,13 @@ class TestExactDirichlet:
         assert basis.eigenvalues[1] == pytest.approx(4 * np.pi ** 2)
 
     def test_orthonormality(self, basis_pi):
-        gram = basis_pi.gram()
-        assert np.max(np.abs(gram - np.eye(basis_pi.n_modes))) <= 1e-8
+        # the build checks nothing: the sampled sines are orthonormal by
+        # construction on any grid of at least N + 2 points, up to its last mode
+        cases = [(basis_pi, 32)] + [(build_exact_dirichlet(np.pi, n), n)
+                                    for n in (1, 64, 1023)]
+        cases.append((build_exact_dirichlet(2.0, 1000, grid_points=1002), 1000))
+        for basis, n in cases:
+            assert np.max(np.abs(gram(basis) - np.eye(n))) <= 1e-12, n
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -73,7 +84,7 @@ class TestFiniteDifference:
                                       q=lambda x: 0.5 + 0.5 * np.cos(x) ** 2,
                                       c_a=0.7, length=np.pi)
         basis = build_fd(coeffs, 901, 12)
-        assert np.max(np.abs(basis.gram() - np.eye(12))) <= 1e-8
+        assert np.max(np.abs(gram(basis) - np.eye(12))) <= 1e-8
         assert basis.eigenvalues[0] >= 0.7
 
     def test_ellipticity_rejected(self):
@@ -95,6 +106,22 @@ class TestFiniteDifference:
         with pytest.raises(PreconditionError, match=r"a\(0\.0\) = 0\.0"):
             EllipticCoefficients(a=lambda x: x, q=lambda x: np.zeros_like(x),
                                  length=np.pi)
+
+    @pytest.mark.parametrize("defect", ["vectors", "values"])
+    def test_eigensolver_output_checked(self, monkeypatch, defect):
+        real = scipy.linalg.eigh_tridiagonal
+
+        def corrupted(*args, **kwargs):
+            lam, vec = real(*args, **kwargs)
+            if defect == "vectors":
+                return lam, vec * 1.01
+            return lam - 0.5, vec
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", corrupted)
+        message = (r"orthonormality defect 2\.01e-02 above 1e-08" if defect == "vectors"
+                   else r"lambda_1 = 0\.4999.* below the floor c_a \(pi/L\)\^2 = 1\.0 ")
+        with pytest.raises(NumericError, match=message):
+            build_fd(constant_coefficients(), 201, 4)
 
     def test_mode_count_guard(self):
         with pytest.raises(DomainError):

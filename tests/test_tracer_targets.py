@@ -43,9 +43,9 @@ def test_targets_resolve():
     assert missing == []
 
 
-def test_contour_counter_reads_spec(const_weight):
+def test_contour_counter_reads_spec():
     tracer = load_tracer()
-    spec = choose_contour(1.0, 1.0, const_weight)
+    spec = choose_contour(1.0)
     counts = tracer._count_contour((), {}, spec)
     assert counts == {"bands": 1, "nodes": spec.ray_count + spec.arc_count}
     assert spec.ray_count == 16 * spec.n_panels and spec.arc_count == 24
@@ -111,13 +111,15 @@ SUBCOMMANDS = {
     "oracle": (["oracle"], PROBLEM + "times = 0.5 1.0\n\n[numerics]\ndt = 0.05\n"),
     "verify-decay": (["verify", "--suite", "decay"], None),
     "verify-h2": (["verify", "--suite", "h2"], None),
+    "verify-bounds": (["verify", "--suite", "bounds"], None),
 }
 
 
 @pytest.mark.parametrize("case", list(SUBCOMMANDS))
 def test_subcommand_runs_traced(case, tmp_path):
     # every traced layer and its counter hook (such as the (E, G) pair that
-    # kernel.block_cells unpacks) must run clean under the tracer
+    # kernel.block_cells unpacks) must run clean under the tracer; the
+    # contour radius and the tail-bound grid take no root
     args, doc = SUBCOMMANDS[case]
     args = [*args, "--out", str(tmp_path / "out")]
     if doc is not None:
@@ -132,6 +134,8 @@ def test_subcommand_runs_traced(case, tmp_path):
         tr.uninstall()
     assert status == 0, err.getvalue()
     assert tr.spans
+    assert {name for _, name, *_ in tr.spans} & {"weight.zeta_inv",
+                                                  "kernel.an_threshold"} == set()
 
 
 # loose ceilings: far above the values the probes give, far below a break
