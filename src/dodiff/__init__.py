@@ -23,6 +23,7 @@ from .oracle import GridField, OracleConfig, compare, solve_oracle
 from .solver import (
     ProblemSpec,
     SolutionField,
+    Source,
     duhamel,
     estimate_decay_exponent,
     solve,
@@ -65,6 +66,7 @@ __all__ = [
     "ProblemSpec",
     "SUITES",
     "SolutionField",
+    "Source",
     "SpectralBasis",
     "WeightFunction",
     "an_threshold",

@@ -81,8 +81,8 @@ class ProblemBundle:
     basis: sp.SpectralBasis
     initial_coeffs: np.ndarray
     initial_profile: object  # callable x -> u0(x)
-    source_coeffs: object | None  # callable t -> mode coefficients
-    source_profile: object | None  # callable (t, x) -> values
+    source_coeffs: sv.Source | None
+    source_profile: tuple | None  # the oracle's (phi, x -> values) pair
     horizon: float
     times: np.ndarray
     kappas: tuple
@@ -256,7 +256,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ProblemBundle:
         src_coeffs = src_profile = None
     elif src_spec.startswith("modes:"):
         g, g_on = modes(src_spec, "problem.source")
-        src_coeffs, src_profile = (lambda t: g), (lambda t, x: g_on(x))
+        src_coeffs = sv.Source(g)
+        src_profile = (src_coeffs.phi, g_on)
     else:
         raise PreconditionError(f"problem.source descriptor {src_spec!r} not recognized")
 

@@ -15,6 +15,8 @@ spectral module, and each implicit step solves
 
 with one LU factorization of the tridiagonal B_0 I + A_h (LAPACK dgttrf,
 partial pivoting), made once per solve and reused by every step (dgttrs).
+The source is separable, as the solver's ``Source`` is: F^k = phi(k dt) f
+at the interior nodes, with phi sampled once on the step times and f once.
 
 The history sum is taken in blocks of HISTORY_BLOCK steps.  At the start of
 a block, the part of every step's sum that reads differences older than the
@@ -70,10 +72,10 @@ class OracleConfig:
 
 
 def time_index(times: np.ndarray, t: float) -> int | None:
-    """The index of the entry of ``times`` within 1e-9 of t (relative, for
-    |t| > 1), or None if there is none."""
+    """The index of the entry of ``times`` within 1e-9 |t| of t, or None if
+    there is none."""
     idx = int(np.argmin(np.abs(times - t)))
-    return idx if abs(times[idx] - t) <= 1e-9 * max(1.0, abs(t)) else None
+    return idx if abs(times[idx] - t) <= 1e-9 * abs(t) else None
 
 
 @dataclass(frozen=True)
@@ -121,9 +123,10 @@ def effective_history_weights(w: WeightFunction, k: int, dt: float,
 
 def solve_oracle(coeffs: EllipticCoefficients, w: WeightFunction,
                  u0: Callable[[np.ndarray], np.ndarray],
-                 source: Callable[[float, np.ndarray], np.ndarray] | None,
+                 source: tuple[Callable, Callable] | None,
                  cfg: OracleConfig) -> GridField:
-    """March the implicit order-averaged L1 scheme over the full horizon."""
+    """March the implicit order-averaged L1 scheme over the full horizon;
+    ``source`` is None or the pair (phi, f) of F(t, x) = phi(t) f(x)."""
     from scipy.linalg.lapack import dgttrf, dgttrs  # imported here: slow to import
     M, K = cfg.grid_points, cfg.steps
     x = np.linspace(0.0, coeffs.length, M)
@@ -149,6 +152,9 @@ def solve_oracle(coeffs: EllipticCoefficients, w: WeightFunction,
     u[0] = np.asarray(u0(x), dtype=float)
     u[:, 0] = u[:, -1] = 0.0
     diffs = np.zeros((K + 1, M - 2))  # diffs[j] = u^j - u^(j-1), interior
+    if source is not None:
+        phi = np.asarray(source[0](cfg.step_times), dtype=float)
+        f = np.asarray(source[1](xi), dtype=float)
 
     # in block k0, toeplitz[r, K-k0+1:] holds B_(k0+r-1), ..., B_(r+1): the
     # weights of diffs[1:k0] at step k0 + r.  Those of the next block are the
@@ -172,7 +178,7 @@ def solve_oracle(coeffs: EllipticCoefficients, w: WeightFunction,
                 # the block's own differences: B_r, ..., B_1 against diffs[k0:k]
                 rhs -= B_rev[K - 1 - r:K - 1] @ diffs[k0:k]
             if source is not None:
-                rhs += np.asarray(source(k * cfg.dt, xi), dtype=float)
+                rhs += phi[k] * f
             _, info = dgttrs(*lu, rhs, overwrite_b=1)
             if info != 0:
                 raise NumericError(f"implicit solve failed at step {k}: dgttrs info = {info}")

@@ -9,14 +9,14 @@ The convolution is taken by product integration on K_1/K_2: the source is
 linear between panel edges graded toward tau = t, and the kernel moments
 over each panel are differences of K_1 = int G_n and K_2 = int K_1 at its
 edges.  The rule is exact for piecewise-linear sources, however singular
-G_n is near the origin or large lambda_n is.  Sources enter as callables
-returning mode coefficients; projection of a spatial source is the caller's
-concern, which keeps this module purely spectral.
+G_n is near the origin or large lambda_n is.  A source is one term
+F(t) = phi(t) g, ``Source(g, phi)``; projection of a spatial source is the
+caller's concern, which keeps this module purely spectral.
 
 The source response of a whole time grid is one (times x modes) array:
 K_1 at every output time from one block, and K_2 only at the ends of the
-panels on which the source changes; the others contribute exactly zero.
-A constant source thus costs one K_1 row per output time (see ``duhamel``).
+panels on which phi changes; the others contribute exactly zero.  A
+constant source thus costs one K_1 row per output time (see ``duhamel``).
 Solution fields are written once and immutable afterwards.
 """
 
@@ -36,17 +36,34 @@ DUHAMEL_NODES = 256
 
 
 @dataclass(frozen=True)
+class Source:
+    """F(t) = phi(t) g: mode coefficients ``g`` and a time factor ``phi``
+    that maps an array of times to an array of values.  The default
+    ``np.ones_like`` makes the source constant in time."""
+
+    g: np.ndarray
+    phi: Callable[[np.ndarray], np.ndarray] = np.ones_like
+
+    def __post_init__(self):
+        object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
+
+    def __call__(self, t):
+        """The mode coefficients of F(t)."""
+        return self.phi(np.asarray(t, dtype=float)) * self.g
+
+
+@dataclass(frozen=True)
 class ProblemSpec:
     """One initial-boundary value problem in spectral form.
 
-    ``source`` maps a time to the mode-coefficient vector of F(t, .) and must
-    stay bounded on [0, T].
+    ``source`` is a ``Source`` or None.  Its g must be finite with one entry
+    per mode, and its phi must give three finite values at t = 0, T/2, T.
     """
 
     weight: WeightFunction
     basis: SpectralBasis
     initial_coeffs: np.ndarray
-    source: Callable[[float], np.ndarray] | None
+    source: Source | None
     horizon: float
 
     def __post_init__(self):
@@ -58,12 +75,27 @@ class ProblemSpec:
             raise PreconditionError(
                 f"initial coefficients {c0.shape} do not match "
                 f"{self.basis.n_modes} modes")
-        if self.source is not None:
-            for t in (0.0, 0.5 * self.horizon, self.horizon):
-                f = np.asarray(self.source(t), dtype=float)
-                if f.shape != c0.shape or not np.all(np.isfinite(f)):
-                    raise PreconditionError(
-                        f"source at t = {t} is not a finite coefficient vector")
+        if self.source is None:
+            return
+        if not isinstance(self.source, Source):
+            raise PreconditionError(f"source must be a solver.Source or None, not "
+                                    f"{type(self.source).__name__}")
+        g = self.source.g
+        if g.shape != c0.shape:
+            raise PreconditionError(
+                f"source coefficients {g.shape} do not match {self.basis.n_modes} modes")
+        bad = np.flatnonzero(~np.isfinite(g))
+        if bad.size:
+            raise PreconditionError(
+                f"source coefficient g is {float(g[bad[0]])!r} in mode {bad[0] + 1}")
+        try:
+            phi = np.asarray(self.source.phi(np.array([0.0, 0.5, 1.0]) * self.horizon),
+                             dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise PreconditionError(f"source phi cannot take an array of times: {exc}")
+        if phi.shape != (3,) or not np.all(np.isfinite(phi)):
+            raise PreconditionError(f"source phi at t = 0, T/2 and T = {self.horizon} "
+                                    f"is {phi.tolist()}, not three finite values")
 
 
 @dataclass(frozen=True)
@@ -91,9 +123,10 @@ class SolutionField:
         return np.array([fractional_norm(self.basis, c, kappa) for c in self.coeffs])
 
     def sample(self, t: float):
-        """(grid, values) at a stored time; t must match a grid point."""
+        """(grid, values) at a stored time; t must match a grid point to
+        1e-12 relative."""
         idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-12 * max(1.0, abs(t)):
+        if abs(self.times[idx] - t) > 1e-12 * abs(t):
             raise DomainError(f"time {t} not on the stored grid")
         return self.basis.grid, synthesize(self.basis, self.coeffs[idx])
 
@@ -114,22 +147,23 @@ def duhamel_mesh(t: float, n_nodes: int = DUHAMEL_NODES):
 
 def duhamel(problem: ProblemSpec, times, n_nodes: int = DUHAMEL_NODES,
             cfg: KernelConfig | None = None) -> np.ndarray:
-    """Source response int_0^t G_n(sigma) f_n(t - sigma) d(sigma), shape
+    """Source response int_0^t G_n(sigma) phi(t - sigma) g_n d(sigma), shape
     (n_times, n_modes): one row per output time t, one column per mode.
 
-    With f linear on each panel of ``duhamel_mesh(t)``, integration by parts
-    gives the exact value
+    With phi linear on each panel of ``duhamel_mesh(t)``, integration by
+    parts gives the exact value
 
-        K_1(t) f(0) + sum_j (K_2(sigma_(j+1)) - K_2(sigma_j)) / h_j
-                            * (f(t - sigma_j) - f(t - sigma_(j+1))),
+        (K_1(t) phi(0) + sum_j (K_2(sigma_(j+1)) - K_2(sigma_j)) / h_j
+                         * (phi(t - sigma_j) - phi(t - sigma_(j+1)))) g,
 
-    so a constant source returns K_1(t) f to rounding for any panel count.
-    K_1 comes from one ``eval_kernels`` call at all the times.  A panel
-    whose source difference is 0 in every mode adds exactly 0 and is
-    dropped; a time with live panels makes one more call, for K_2 alone at
-    the ends sigma > 0 of those panels (K_2(0) = 0).  A constant source
-    thus costs one call, and a row depends on no other time but through
-    K_1's contour.
+    so a constant source returns K_1(t) g to rounding for any panel count.
+    phi is called once per output time, at its P + 1 mesh edges, and a
+    non-finite value is a ``NumericError`` naming tau.  K_1 comes from one
+    ``eval_kernels`` call at all the times.  A panel on which phi does not
+    change adds exactly 0 and is dropped; a time with live panels makes one
+    more call, for K_2 alone at the ends sigma > 0 of those panels
+    (K_2(0) = 0).  A constant source thus costs one call, and a row depends
+    on no other time but through K_1's contour.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     for t in times:
@@ -140,24 +174,25 @@ def duhamel(problem: ProblemSpec, times, n_nodes: int = DUHAMEL_NODES,
     (out,) = eval_kernels(times, lams, w, ("K1",), cfg=cfg)
     for row, t in enumerate(times):
         edges, h = duhamel_mesh(float(t), n_nodes=n_nodes)
-        f = np.array([np.asarray(problem.source(t - s), dtype=float) for s in edges])
-        bad = np.argwhere(~np.isfinite(f))
+        taus = t - edges
+        phi = np.asarray(problem.source.phi(taus), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(phi))
         if bad.size:
-            j, n = bad[0]
-            raise NumericError(f"source at tau = {float(t - edges[j])!r} is "
-                               f"{float(f[j, n])!r} in mode {n + 1}")
-        out[row] *= f[-1]
-        df = f[:-1] - f[1:]
-        live = np.flatnonzero(np.any(df != 0.0, axis=1))
+            raise NumericError(f"source phi at tau = {float(taus[bad[0]])!r} "
+                               f"is {float(phi[bad[0]])!r}")
+        out[row] *= phi[-1]
+        dphi = phi[:-1] - phi[1:]
+        live = np.flatnonzero(dphi)
         if live.size:
+            # K_2 at the ends of the live panels; row i of K2 is edge ends[i]
             ends = np.union1d(live, live + 1)
-            ends = ends[ends > 0]
-            K2 = np.zeros((n_nodes + 1, len(lams)))
-            K2[ends] = eval_kernels(edges[ends], lams, w, ("K2",), cfg=cfg)[0]
-            # mean of K_1 over each live panel times its source difference
-            out[row] += np.einsum("jn,jn->n", (K2[live + 1] - K2[live]) / h[live, None],
-                                  df[live])
-    return out
+            K2 = np.zeros((len(ends), len(lams)))
+            K2[ends > 0] = eval_kernels(edges[ends[ends > 0]], lams, w, ("K2",),
+                                        cfg=cfg)[0]
+            lo = np.searchsorted(ends, live)
+            # mean of K_1 over each live panel times its change of phi
+            out[row] += (dphi[live] / h[live]) @ (K2[lo + 1] - K2[lo])
+    return out * problem.source.g
 
 
 def solve(problem: ProblemSpec, times, n_nodes: int = DUHAMEL_NODES,

@@ -159,13 +159,13 @@ def run_h2_suite(seed: int = DEFAULT_SEED) -> ExperimentReport:
     # response factors R_n(t) = int_0^t G_n: for constant-in-time sources the
     # mode response is R_n(t) g_n, verified against a full solver run below
     ones = np.ones(basis.n_modes)
-    probe = sv.ProblemSpec(w, basis, np.zeros(basis.n_modes), lambda t: ones, T)
+    probe = sv.ProblemSpec(w, basis, np.zeros(basis.n_modes), sv.Source(ones), T)
     R = sv.duhamel(probe, ts)
 
     g1 = np.zeros(basis.n_modes)
     g1[0] = 1.0
     full = sv.solve(sv.ProblemSpec(w, basis, np.zeros(basis.n_modes),
-                                   lambda t: g1, T), ts)
+                                   sv.Source(g1), T), ts)
     factored = R * g1[None, :]
     agree = np.max(np.abs(full.coeffs - factored))
     report.add("factorization-consistency", agree, "<= 1e-10", agree <= 1e-10)

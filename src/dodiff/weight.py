@@ -60,8 +60,12 @@ def _piece_moment(logs, a, b, offset, scaled, taylor):
     """h e^((a + offset) L) sum_j scaled[j] phi_(j+1)(hL) over the piece
     [a, b], from the Taylor coefficients (highest degree first) of the sum
     or the recurrence on e^((a + offset) L) phi_k, started from the two end
-    exponentials so that one underflowing never meets phi_1 overflowing."""
+    exponentials so that one underflowing never meets phi_1 overflowing.
+    An end exponent's real part past 700 is taken out of every exponent and
+    multiplied back at the end, so no finite value meets an overflow."""
     z = (b - a) * logs
+    shift = np.maximum(np.maximum((a + offset) * logs.real,
+                                  (b + offset) * logs.real) - 700.0, 0.0)
     out = np.empty_like(z)
     small = np.abs(z) < _TAYLOR_RADIUS
     if small.any():
@@ -69,17 +73,21 @@ def _piece_moment(logs, a, b, offset, scaled, taylor):
         acc = np.zeros_like(zs)
         for c in taylor:
             acc = acc * zs + c
-        out[small] = np.exp((a + offset) * logs[small]) * acc
+        out[small] = np.exp((a + offset) * logs[small] - shift[small]) * acc
     if not small.all():
-        zl, ll = z[~small], logs[~small]
-        start = np.exp((a + offset) * ll)
-        psi = (np.exp((b + offset) * ll) - start) / zl
+        zl, ll, sl = z[~small], logs[~small], shift[~small]
+        start = np.exp((a + offset) * ll - sl)
+        psi = (np.exp((b + offset) * ll - sl) - start) / zl
         acc = scaled[0] * psi
         for k in range(1, len(scaled)):
             psi = (psi - start / math.factorial(k)) / zl
             acc += scaled[k] * psi
         out[~small] = acc
-    return (b - a) * out
+    out *= b - a
+    big = shift > 0.0
+    if big.any():
+        out[big] *= np.exp(shift[big])
+    return out
 
 
 def _extremes(c, a, b):

@@ -65,7 +65,8 @@ def direct_oracle(coeffs, w, u0, source, cfg) -> GridField:
         if k > 1:
             rhs -= B[k - 1:0:-1] @ diffs[1:k]
         if source is not None:
-            rhs += np.asarray(source(k * cfg.dt, x[1:-1]), dtype=float)
+            phi, f = source
+            rhs += phi(k * cfg.dt) * f(x[1:-1])
         interior = solve_banded((1, 1), ab, rhs)
         u[k, 1:-1] = interior
         u[k, 0] = u[k, -1] = 0.0

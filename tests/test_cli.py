@@ -552,6 +552,17 @@ class TestDispatch:
         name = "problem.times[0] = 0.25" if "dt" in override else "problem.times[2] = 1.0"
         assert name in err and "numerics.dt" in err and "numerics.steps" in err
 
+    def test_oracle_time_between_tiny_steps_fails(self, tmp_path, capsys):
+        # 5.5e-12 lies halfway between the steps 5e-12 and 6e-12: the
+        # tolerance is relative to t, not an absolute 1e-9 below t = 1
+        config = (Path(__file__).resolve().parents[1] / "configs" / "constant.ini")
+        rc, _ = self.run(tmp_path, "oracle", config=config.read_text(),
+                         extra=["--set", "numerics.dt=1e-12", "--set", "problem.t=1e-10",
+                                "--set", "problem.times=5.5e-12 1e-10",
+                                "--set", "operator.n=8"])
+        assert rc == 1
+        assert "problem.times[0] = 5.5e-12 is not a step" in capsys.readouterr().err
+
     def test_oracle_gets_dirichlet_modes_at_its_nodes(self, tmp_path, monkeypatch):
         # the u0 of a modes: document is the sine series at the oracle's own
         # nodes, not interpolated from another grid
@@ -666,7 +677,7 @@ class TestCsvWriter:
         w = make_constant_weight(1.0, alpha0=0.5, delta=0.25)
         basis = build_exact_dirichlet(np.pi, 8, grid_points=33)
         prob = sv.ProblemSpec(w, basis, np.array([1.0, 0.0, -0.5, 0, 0, 0, 0, 0.125]),
-                              lambda t: np.full(8, 0.2), 1.0)
+                              sv.Source(np.full(8, 0.2)), 1.0)
         field = sv.solve(prob, [0.1, 0.5, 1.0], n_nodes=32)
         self.assert_field_bytes(tmp_path, field, field.times)
 

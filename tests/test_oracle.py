@@ -89,8 +89,7 @@ class TestSolveOracle:
     def test_source_driven(self, const_weight):
         cfg = OracleConfig(dt=0.01, steps=50, grid_points=101)
         field = solve_oracle(constant_coefficients(), const_weight,
-                             lambda x: np.zeros_like(x),
-                             lambda t, x: np.sin(x), cfg)
+                             lambda x: np.zeros_like(x), (np.ones_like, np.sin), cfg)
         assert field.values[-1].max() > 0.0
 
     def test_self_convergence_first_order(self, const_weight):
@@ -137,7 +136,7 @@ class TestBlockedHistory:
                                         c_a=1.0, length=np.pi)
         cfg = OracleConfig(dt=1.0 / steps, steps=steps, grid_points=41)
         for coeffs, source in ((constant_coefficients(), None),
-                               (variable, lambda t, x: (1.0 + t) * np.sin(x))):
+                               (variable, (lambda t: 1.0 + t, np.sin))):
             got = solve_oracle(coeffs, w, np.sin, source, cfg).values
             ref = direct_oracle(coeffs, w, np.sin, source, cfg).values
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -146,12 +145,29 @@ class TestBlockedHistory:
     def test_non_finite_source_names_step(self, const_weight, bad_step):
         dt = 0.01
 
-        def source(t, x):
-            return np.full_like(x, np.nan if round(t / dt) == bad_step else 0.0)
+        def phi(t):
+            return np.where(np.round(t / dt) == bad_step, np.nan, 0.0)
 
         cfg = OracleConfig(dt=dt, steps=2 * HISTORY_BLOCK, grid_points=21)
         with pytest.raises(NumericError, match=f"non-finite values at step {bad_step}$"):
-            solve_oracle(constant_coefficients(), const_weight, np.sin, source, cfg)
+            solve_oracle(constant_coefficients(), const_weight, np.sin,
+                         (phi, np.ones_like), cfg)
+
+    def test_source_sampled_once(self, const_weight):
+        # phi once on the step times and f once on the interior nodes, not
+        # once per step
+        calls = []
+
+        def counted(fn):
+            def call(v):
+                calls.append((fn.__name__, np.shape(v)))
+                return fn(v)
+            return call
+
+        cfg = OracleConfig(dt=0.01, steps=2 * HISTORY_BLOCK + 3, grid_points=21)
+        solve_oracle(constant_coefficients(), const_weight, np.sin,
+                     (counted(np.cos), counted(np.sin)), cfg)
+        assert calls == [("cos", (cfg.steps + 1,)), ("sin", (19,))]
 
     def test_singular_operator_rejected(self, const_weight):
         # a = 0 and q = -B_0 make B_0 I + A_h the zero matrix; validated

@@ -12,6 +12,7 @@ from dodiff.solver import (
     DUHAMEL_NODES,
     ProblemSpec,
     SolutionField,
+    Source,
     duhamel,
     duhamel_mesh,
     estimate_decay_exponent,
@@ -34,13 +35,10 @@ def basis16():
 def narrow_bump(n_modes, width=1e-4):
     """Unit-mass smooth bump in mode 1 centred at tau = 0.99: the response
     at t = 1 approximates G_1(0.01)."""
-    def source(tau):
+    def phi(tau):
         arg = (tau - 0.99) / (width / 2.0)
-        out = np.zeros(n_modes)
-        if abs(arg) < 1.0:
-            out[0] = np.cos(np.pi * arg / 2.0) ** 2 * (2.0 / width)
-        return out
-    return source
+        return np.where(np.abs(arg) < 1.0, np.cos(np.pi * arg / 2.0) ** 2 * (2.0 / width), 0.0)
+    return Source(unit_mode(n_modes), phi)
 
 
 def homogeneous_problem(w, basis, c0=None, horizon=2.0):
@@ -99,7 +97,7 @@ class TestDuhamel:
         # t^(a) E_(a, a+1)(-t^a) with a = 1/2 at t = 1
         prob = ProblemSpec(weight=box_half, basis=basis16,
                            initial_coeffs=np.zeros(16),
-                           source=lambda t: unit_mode(16), horizon=2.0)
+                           source=Source(unit_mode(16)), horizon=2.0)
         got = duhamel(prob, [1.0])[0]
         ref = mittag_leffler(0.5, 1.5, -1.0)
         assert abs(got[0] - ref) <= 3e-2
@@ -107,7 +105,7 @@ class TestDuhamel:
     def test_quadrature_refinement(self, basis16, const_weight):
         prob = ProblemSpec(weight=const_weight, basis=basis16,
                            initial_coeffs=np.zeros(16),
-                           source=lambda t: np.full(16, np.cos(t)), horizon=2.0)
+                           source=Source(np.ones(16), np.cos), horizon=2.0)
         a = duhamel(prob, [1.5], n_nodes=256)[0]
         b = duhamel(prob, [1.5], n_nodes=1024)[0]
         c = duhamel(prob, [1.5], n_nodes=4096)[0]
@@ -126,7 +124,7 @@ class TestDuhamel:
         # also where G_n is concentrated far below the first panel
         w = request.getfixturevalue(weight)
         lam = basis_pi.eigenvalues
-        prob = ProblemSpec(w, basis_pi, np.zeros(32), lambda t: np.ones(32), 100.0)
+        prob = ProblemSpec(w, basis_pi, np.zeros(32), Source(np.ones(32)), 100.0)
         for t in (1e-3, 1.0, 100.0):
             E, _ = eval_kernel_block([t], lam, w)
             exact = (1.0 - E[0]) / lam
@@ -136,7 +134,7 @@ class TestDuhamel:
     def test_constant_source_panel_count_free(self, basis_pi, tapered):
         # product integration is exact for a constant source at any panel count
         g = (-1.0) ** np.arange(32) / np.arange(1.0, 33.0)
-        prob = ProblemSpec(tapered, basis_pi, np.zeros(32), lambda t: g, 2.0)
+        prob = ProblemSpec(tapered, basis_pi, np.zeros(32), Source(g), 2.0)
         coarse = duhamel(prob, [1.0], n_nodes=16)[0]
         fine = duhamel(prob, [1.0], n_nodes=4096)[0]
         assert np.max(np.abs(coarse - fine) / np.abs(fine)) <= 1e-12
@@ -145,7 +143,7 @@ class TestDuhamel:
         # F = tau g: int_0^t G_n(sigma) (t - sigma) d(sigma) = K_2(t) g_n,
         # exact at any panel count since the source is linear
         g = (-1.0) ** np.arange(32) / np.arange(1.0, 33.0)
-        prob = ProblemSpec(box_half, basis_pi, np.zeros(32), lambda t: t * g, 2.0)
+        prob = ProblemSpec(box_half, basis_pi, np.zeros(32), Source(g, lambda t: t), 2.0)
         for t in (1e-3, 1.0):
             (K2,) = eval_kernels([t], basis_pi.eigenvalues, box_half, ("K2",))
             for panels in (16, 4096):
@@ -154,20 +152,60 @@ class TestDuhamel:
 
 
     def test_non_finite_source_names_tau_and_mode(self, basis16, box_half):
-        # finite at 0, T/2 and T, where ProblemSpec samples it; mode 3 is
-        # NaN on (0.3, 0.4), and the error names the first tau the mesh of
-        # the first output time meets
-        def source(tau):
-            f = np.ones(16)
-            f[2] = np.nan if 0.3 < tau < 0.4 else 1.0
-            return f
-
-        prob = ProblemSpec(box_half, basis16, np.zeros(16), source, 1.0)
+        # phi is finite at 0, T/2 and T, where ProblemSpec samples it, and NaN
+        # on (0.3, 0.4): the error names the first tau the mesh of the first
+        # output time meets.  A NaN in g is ProblemSpec's to name, by mode
+        phi = lambda tau: np.where((0.3 < tau) & (tau < 0.4), np.nan, 1.0)
+        prob = ProblemSpec(box_half, basis16, np.zeros(16), Source(np.ones(16), phi), 1.0)
         tau = 0.5 - duhamel_mesh(0.5)[0]
         first = float(tau[(0.3 < tau) & (tau < 0.4)][0])
-        with pytest.raises(NumericError, match=f"^source at tau = {re.escape(repr(first))}"
-                                               " is nan in mode 3$"):
+        with pytest.raises(NumericError, match=f"^source phi at tau = "
+                                               f"{re.escape(repr(first))} is nan$"):
             duhamel(prob, [0.5, 1.0])
+        g = np.ones(16)
+        g[2] = np.nan
+        with pytest.raises(PreconditionError, match="is nan in mode 3$"):
+            ProblemSpec(box_half, basis16, np.zeros(16), Source(g), 1.0)
+
+
+class TestSource:
+    """F(t) = phi(t) g: what ``ProblemSpec`` accepts, and how often
+    ``duhamel`` calls phi."""
+
+    def test_call_gives_coefficients(self):
+        g = np.arange(1.0, 5.0)
+        assert np.array_equal(Source(g)(0.3), g)
+        assert np.array_equal(Source(g, np.cos)(0.3), np.cos(0.3) * g)
+
+    def test_rejected_sources(self, basis16, box_half):
+        def spec(source):
+            return ProblemSpec(box_half, basis16, np.zeros(16), source, 1.0)
+
+        with pytest.raises(PreconditionError, match="must be a solver.Source or None"):
+            spec(lambda t: np.ones(16))
+        with pytest.raises(PreconditionError, match=r"source coefficients \(8,\)"):
+            spec(Source(np.ones(8)))
+        with pytest.raises(PreconditionError, match="is inf in mode 16$"):
+            spec(Source(np.r_[np.ones(15), np.inf]))
+        with pytest.raises(PreconditionError, match="cannot take an array of times"):
+            spec(Source(np.ones(16), lambda t: 1.0 if t < 0.5 else 2.0))
+        with pytest.raises(PreconditionError, match="T = 1.0 is 1.0, not three finite"):
+            spec(Source(np.ones(16), lambda t: 1.0))
+        with pytest.raises(PreconditionError, match=r"is \[inf, 1.0, 1.0\], not three"):
+            spec(Source(np.ones(16), lambda t: np.where(t > 0.0, 1.0, np.inf)))
+
+    def test_duhamel_calls_phi_once_per_time(self, basis16, box_half):
+        calls = []
+
+        def phi(t):
+            calls.append(np.shape(t))
+            return np.cos(t)
+
+        prob = ProblemSpec(box_half, basis16, np.zeros(16), Source(np.ones(16), phi), 2.0)
+        assert calls == [(3,)]  # ProblemSpec's check at 0, T/2 and T
+        times = [0.25, 0.5, 1.0, 2.0]
+        duhamel(prob, times, n_nodes=64)
+        assert calls[1:] == [(65,)] * len(times)
 
 
 class TestResponseBlock:
@@ -179,8 +217,8 @@ class TestResponseBlock:
     @staticmethod
     def sources(n_modes):
         g = (-1.0) ** np.arange(n_modes) / np.arange(1.0, n_modes + 1.0)
-        return {"constant": lambda t: g, "linear": lambda t: t * g,
-                "cos": lambda t: np.cos(t) * g, "bump": narrow_bump(n_modes)}
+        return {"constant": Source(g), "linear": Source(g, lambda t: t),
+                "cos": Source(g, np.cos), "bump": narrow_bump(n_modes)}
 
     @staticmethod
     def hold_contour(monkeypatch, sigma_min, sigma_max):
@@ -260,7 +298,7 @@ class TestResponseBlock:
         times = np.linspace(1.0 / 16.0, 1.0, 16)
         basis = build_exact_dirichlet(np.pi, 1000)
         g = np.ones(1000)
-        duhamel(ProblemSpec(box_half, basis, np.zeros(1000), lambda t: g, 1.0),
+        duhamel(ProblemSpec(box_half, basis, np.zeros(1000), Source(g), 1.0),
                 times)
         assert len(sigmas) == 1 and np.array_equal(sigmas[0], times)
         assert names == [("K1",)]
@@ -279,7 +317,7 @@ class TestSolve:
     def test_linearity(self, basis16, const_weight):
         rng = np.random.default_rng(12)
         c0 = rng.normal(size=16)
-        src = lambda t: np.sin(t) * np.arange(1.0, 17.0) / 16.0
+        src = Source(np.arange(1.0, 17.0) / 16.0, np.sin)
         times = [0.3, 1.0, 1.7]
         both = solve(ProblemSpec(const_weight, basis16, c0, src, 2.0), times)
         hom = solve(ProblemSpec(const_weight, basis16, c0, None, 2.0), times)
@@ -321,6 +359,13 @@ class TestSolve:
         prod = field.l2_norms() * np.log(ts)
         assert prod.max() / prod.min() < 5.0
 
+    def test_sample_tolerance_is_relative(self, basis16):
+        # 1.5e-13 is no stored time, though within 1e-12 of both
+        field = SolutionField(times=[1e-13, 2e-13], coeffs=np.ones((2, 16)), basis=basis16)
+        assert np.array_equal(field.sample(2e-13)[1], field.sample(2e-13 * (1 + 1e-15))[1])
+        with pytest.raises(DomainError, match="time 1.5e-13 not on the stored grid"):
+            field.sample(1.5e-13)
+
     def test_field_invariants(self, basis16):
         with pytest.raises(PreconditionError):
             SolutionField(times=[0.5], coeffs=np.ones((2, 16)), basis=basis16)
@@ -350,11 +395,10 @@ class TestCrossRoute:
         assert np.max(compare(field_s, field_o, [0.25, 0.5, 1.0])) <= 5e-3
 
         src_modes = project(basis, np.sin(2.0 * basis.grid))
-        prob2 = ProblemSpec(const_weight, basis, c0,
-                            lambda t: src_modes * np.cos(3.0 * t), 1.0)
+        phi = lambda t: np.cos(3.0 * t)
+        prob2 = ProblemSpec(const_weight, basis, c0, Source(src_modes, phi), 1.0)
         f2s = solve(prob2, [0.5, 1.0])
-        f2o = solve_oracle(ell, const_weight, u0,
-                           lambda t, x: np.sin(2.0 * x) * np.cos(3.0 * t), ocfg)
+        f2o = solve_oracle(ell, const_weight, u0, (phi, lambda x: np.sin(2.0 * x)), ocfg)
         assert np.max(compare(f2s, f2o, [0.5, 1.0])) <= 5e-3
 
 

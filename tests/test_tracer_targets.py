@@ -109,6 +109,8 @@ SUBCOMMANDS = {
     "solve": (["solve"], PROBLEM),
     "solve-sourced": (["solve"], PROBLEM + "source = modes: 0.5\n"),
     "oracle": (["oracle"], PROBLEM + "times = 0.5 1.0\n\n[numerics]\ndt = 0.05\n"),
+    "oracle-sourced": (["oracle"], PROBLEM + "source = modes: 0.5\ntimes = 0.5 1.0\n\n"
+                       "[numerics]\ndt = 0.05\n"),
     "verify-decay": (["verify", "--suite", "decay"], None),
     "verify-h2": (["verify", "--suite", "h2"], None),
     "verify-bounds": (["verify", "--suite", "bounds"], None),

@@ -203,6 +203,16 @@ def test_power_moments_one_call_matches_per_point(tapered):
     assert np.array_equal(one, each, equal_nan=True)
 
 
+@pytest.mark.parametrize("L", [709.0, 712.0, 708.0 + 3.0j])
+def test_power_moments_past_end_overflow(L):
+    # e^L overflows from Re L = 709.8 on, while the moment (e^L - 1)/L of
+    # the unit constant weight is a normal double up to Re L = 716
+    w = wt.make_constant_weight(1.0)
+    ref = complex((mp.exp(mp.mpc(L)) - 1) / mp.mpc(L))
+    got = w.power_moments(L)[0]
+    assert abs(got - ref) <= 4e-16 * abs(L) * abs(ref), (got, ref)
+
+
 class TestEnvelopes:
     def test_zeta_at_one(self):
         assert zeta_env(1.0) == 1.0
